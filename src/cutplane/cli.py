@@ -119,9 +119,9 @@ def cmd_feas(args):
     R = float(spec.get("R", 1.0))
     eps = float(spec.get("eps", 1e-4))
     oracle = _load_set_oracle(_require(spec, "set", args.spec), args.spec)
-    trace = []
+    trace = [] if args.trace else None
     out = core.run_feasibility(oracle, n, _params_for(args, n, R, eps),
-                               seed=args.seed, trace=trace)
+                               trace=trace)
     _write_trace(args.trace, trace)
     if isinstance(out, core.Found):
         _emit({"verdict": "found", "x": out.x.tolist(),
@@ -152,8 +152,7 @@ def cmd_opt(args):
 
     fo = FunctionOracle(fn)
     res = minimize(OptimizeSpec(oracle=fo, n=n, R=R,
-                                alpha=float(spec.get("alpha", 0.01)),
-                                seed=args.seed))
+                                alpha=float(spec.get("alpha", 0.01))))
     _emit({"best_value": res.best_value, "best_x": res.best_x.tolist(),
            "oracle_calls": res.oracle_calls, "termination": res.termination})
     return EXIT_OK
@@ -204,7 +203,7 @@ def cmd_intersect(args):
     lam, _ = intersect.schedule(M, delta)
     prob = intersect.IntersectProblem(c=c, oracle1=o1, oracle2=o2, M=M,
                                       lam=lam, delta=delta)
-    z, res = intersect.solve_intersection(prob, seed=args.seed)
+    z, res = intersect.solve_intersection(prob)
     _emit({"z": z.tolist(), "objective": float(c @ z),
            "oracle_calls": res.oracle_calls})
     return EXIT_OK
@@ -258,7 +257,7 @@ def cmd_bench(args):
                 n = int(spec["n"])
                 params = core.CpmParams.practical(n, R=spec.get("R", 1.0),
                                                   eps=spec.get("eps", 1e-4))
-                out = core.run_feasibility(oracle, n, params, seed=args.seed)
+                out = core.run_feasibility(oracle, n, params)
                 calls = out.oracle_calls
                 verdict = "found" if isinstance(out, core.Found) else "certificate"
             else:
@@ -281,12 +280,12 @@ def _build_parser():
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--profile", choices=["practical", "theoretical"],
-                        default="practical")
-        sp.add_argument("--trace", default=None)
 
     sp = sub.add_parser("feas")
     sp.add_argument("--spec", required=True)
+    sp.add_argument("--profile", choices=["practical", "theoretical"],
+                    default="practical")
+    sp.add_argument("--trace", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_feas)
 

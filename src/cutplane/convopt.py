@@ -7,7 +7,7 @@ polytope.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +22,13 @@ class OptimizeSpec:
     n: int
     R: float = 1.0
     alpha: float = 0.01
-    kappa_hint: float = None
     cpm_params: CpmParams = None
-    seed: int = 0
 
 
 @dataclass
 class OptimizeResult:
     best_x: np.ndarray
     best_value: float
-    query_log: list = field(default_factory=list)
     termination: str = "WidthExhausted"
     oracle_calls: int = 0
 
@@ -40,10 +37,10 @@ def feasibility_eps(spec):
     """Stopping width delta = alpha * MinWidth / (n^{3/2} ln kappa).
 
     MinWidth is folded into kappa: with kappa = R/MinWidth the width is
-    R/kappa.  Without a hint, kappa defaults to n^{3/2}.
+    R/kappa, and kappa is taken as n^{3/2}.
     """
     n = spec.n
-    kappa = spec.kappa_hint if spec.kappa_hint else max(n, 2) ** 1.5
+    kappa = max(n, 2) ** 1.5
     minwidth = spec.R / kappa
     return spec.alpha * minwidth / (n ** 1.5 * math.log(max(kappa, math.e)))
 
@@ -72,11 +69,11 @@ def minimize(spec):
         params = CpmParams.practical(spec.n, R=spec.R, eps=eps)
     wrapped = _Wrapped()
     try:
-        run_feasibility(wrapped, spec.n, params, seed=spec.seed)
+        run_feasibility(wrapped, spec.n, params)
     except IterationCapExceeded:
         if state["best"] is None:
             raise
     termination = "NearOptimalFlag" if state["stop"] else "WidthExhausted"
     bx, bv = state["best"]
-    return OptimizeResult(best_x=bx, best_value=bv, query_log=list(fo.log),
-                          termination=termination, oracle_calls=fo.calls)
+    return OptimizeResult(best_x=bx, best_value=bv, termination=termination,
+                          oracle_calls=fo.calls)

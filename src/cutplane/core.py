@@ -9,8 +9,9 @@ term and a quadratic anchor:
 where e = tau - psi(x) is the error of the maintained leverage estimates.
 The solver keeps a polytope A x >= b around the target set, recenters with
 damped Newton steps against an approximate Hessian, and adds shifted oracle
-cuts or drops constraints whose leverage has decayed.  Termination is either
-a point of the target set or a certificate that the polytope is thin.
+cuts or drops constraints whose leverage has decayed.  Leverage scores are
+computed exactly at every size.  Termination is either a point of the target
+set or a certificate that the polytope is thin.
 """
 
 import math
@@ -25,12 +26,8 @@ from .errors import (
     PreconditionViolated,
     SlackNonpositive,
 )
-from .leverage import LeverageChangeQuery, leverage_change, sketch_leverage, SketchConfig
-from .linalg import cholesky_jittered, leverage_exact, logdet_pd, quadratic_form
+from .linalg import cholesky_jittered, leverage_exact, logdet_pd
 from .oracles import Halfspace, Inside
-
-EXACT_DELTA = "exact"
-SKETCH_DELTA = "sketch"
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class CpmParams:
     c_a: float
     c_d: float
     c_e: float
-    c_delta: float
     lam: float
     R: float
     eps: float
@@ -49,16 +45,14 @@ class CpmParams:
     def practical(n, R=1.0, eps=1e-4, centering_steps=200):
         c_a, c_d = 0.1, 0.01
         c_e = c_d / (6.0 * math.log(17.0 * n * R / eps))
-        c_delta = c_e / (2.0 * math.log(max(n, 2)))
-        return CpmParams(c_a, c_d, c_e, c_delta, 1.0 / (c_a * R * R), R, eps,
+        return CpmParams(c_a, c_d, c_e, 1.0 / (c_a * R * R), R, eps,
                          centering_steps, "practical")
 
     @staticmethod
     def theoretical(n, R=1.0, eps=1e-4, centering_steps=200):
         c_a, c_d = 1e-10, 1e-12
         c_e = c_d / (6.0 * math.log(17.0 * n * R / eps))
-        c_delta = 0.5 * c_e / math.log(max(n, 2))
-        return CpmParams(c_a, c_d, c_e, c_delta, 1.0 / (c_a * R * R), R, eps,
+        return CpmParams(c_a, c_d, c_e, 1.0 / (c_a * R * R), R, eps,
                          centering_steps, "theoretical")
 
     def __post_init__(self):
@@ -161,23 +155,16 @@ def centrality(st, psi=None):
     return float(np.sqrt(y @ y))
 
 
-def mu(st, psi=None):
-    psi = st.psi() if psi is None else psi
-    return float(np.min(psi))
-
-
-def centering(st, r=None, c_delta=None, mode=EXACT_DELTA, seed=0,
-              full_steps=False, exit_floor=None):
+def centering(st, r=None, full_steps=False, exit_floor=None):
     """Damped Newton recentering with a frozen approximate Hessian.
 
     Runs r steps x <- x - (1/8) Q^-1 grad, updating tau after each step by
-    the (exact or sketched) leverage change so e stays put.  Unless
-    full_steps is set, stops early once the centrality is far below the
-    entry threshold of every downstream consumer.
+    the exact leverage change so e stays put.  Unless full_steps is set,
+    stops early once the centrality is far below the entry threshold of
+    every downstream consumer.
     """
     p = st.params
     r = p.centering_steps if r is None else r
-    c_delta = p.c_delta if c_delta is None else c_delta
     psi0 = st.psi()
     e0 = st.tau - psi0
     if np.max(np.abs(e0)) > p.c_e / 3 + 1e-12:
@@ -185,7 +172,12 @@ def centering(st, r=None, c_delta=None, mode=EXACT_DELTA, seed=0,
         if p.profile == "theoretical":
             raise PreconditionViolated(msg)
         warnings.warn(msg)
-    delta0 = centrality(st, psi0)
+    # Q is the Hessian at entry, so the first Newton solve is also the
+    # entry centrality
+    Q = hessian_weights(st, psi0)
+    LQ, _ = cholesky_jittered(Q)
+    z = np.linalg.solve(LQ, gradient(st))
+    delta0 = float(np.sqrt(z @ z))
     thresh = 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
     if delta0 > thresh * (1 + 1e-9):
         msg = "centering entered with centrality %g > %g" % (delta0, thresh)
@@ -195,45 +187,18 @@ def centering(st, r=None, c_delta=None, mode=EXACT_DELTA, seed=0,
     if exit_floor is None:
         exit_floor = 0.3 * 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
 
-    Q = hessian_weights(st, psi0)
-    LQ, _ = cholesky_jittered(Q)
-    rng = np.random.default_rng(seed)
     psi_prev = psi0
-    for step in range(r):
-        g = gradient(st)
-        z = np.linalg.solve(LQ, g)
+    for _ in range(r):
         if not full_steps and float(np.sqrt(z @ z)) <= exit_floor:
-            # centrality in the frozen-Q metric, free from the solve above;
-            # Q tracks the true Hessian closely enough for a stop test
+            # centrality in the frozen-Q metric; Q tracks the true Hessian
+            # closely enough for a stop test
             break
-        dx = np.linalg.solve(LQ.T, z) / 8.0
-        s_old = st.s
-        st.x = st.x - dx
-        s_new = st.check_slack()
-        if mode == EXACT_DELTA:
-            psi_new = st.psi()
-            st.tau = st.tau + (psi_new - psi_prev)
-            psi_prev = psi_new
-        else:
-            st.tau = st.tau + _sketched_delta(st, s_old, s_new, c_delta,
-                                             int(rng.integers(0, 2**62)))
+        st.x = st.x - np.linalg.solve(LQ.T, z) / 8.0
+        psi_new = st.psi()
+        st.tau = st.tau + (psi_new - psi_prev)
+        psi_prev = psi_new
+        z = np.linalg.solve(LQ, gradient(st))
     return st
-
-
-def _sketched_delta(st, s_old, s_new, c_delta, seed):
-    """Estimate psi(new) - psi(old) from one leverage-change draw.
-
-    The regularizer is folded in by appending sqrt(lam) identity rows with
-    constant weight, so only the first m weights move between the states.
-    """
-    p = st.params
-    m, n = st.m, st.n
-    Abar = np.vstack([st.A, np.eye(n)])
-    v = np.concatenate([1.0 / s_old**2, p.lam * np.ones(n)])
-    w = np.concatenate([1.0 / s_new**2, p.lam * np.ones(n)])
-    eps = min(0.4, max(1e-3, c_delta / 20.0))
-    h = leverage_change(LeverageChangeQuery(Abar, v, w, eps, seed))
-    return h[:m]
 
 
 def select_refresh_index(st, w):
@@ -251,11 +216,11 @@ def add_cut(st, a):
         raise NotUnitVector("cut direction must be unit norm")
     p = st.params
     s = st.check_slack()
-    q = quadratic_form(st.A, s, p.lam, a)
-    s_new = math.sqrt(q / p.c_a)
+    B, L = _gram_chol(st, s)
+    w = np.linalg.solve(L, a)
+    s_new = math.sqrt(float(w @ w) / p.c_a)
     psi_a = p.c_a  # by construction
 
-    B, L = _gram_chol(st, s)
     Ginv_a = np.linalg.solve(L.T, np.linalg.solve(L, a / s_new))
     u = B @ Ginv_a  # m-vector of cross terms
     tau_new = st.tau - (u * u) / (1.0 + psi_a)
@@ -345,23 +310,20 @@ def certificate(st, extra_centering=True):
     )
 
 
-def run_feasibility(oracle, n, params=None, mode=None, seed=0, trace=None,
-                    cap_constant=5000):
+def run_feasibility(oracle, n, params=None, trace=None, cap_constant=5000):
     """Main loop: refresh one leverage estimate, add or drop a cut, recenter.
 
     oracle must answer Inside or a (normalized) Halfspace for the target
     set, which the caller promises lives inside the R-box.  Returns Found
     or a ThinCertificate; raises IterationCapExceeded past the hard cap.
+    A list passed as trace receives one record per iteration.
     """
     if params is None:
         params = CpmParams.practical(n)
-    if mode is None:
-        mode = EXACT_DELTA if n <= 50 else SKETCH_DELTA
     p = params
-    rng = np.random.default_rng(seed)
     st = initial_state(n, p)
     cap = int(math.ceil(cap_constant * n * math.log(n * p.R / p.eps)))
-    trace = [] if trace is None else trace
+    records = [] if trace is None else trace
 
     for k in range(1, cap + 1):
         st.k = k
@@ -370,19 +332,12 @@ def run_feasibility(oracle, n, params=None, mode=None, seed=0, trace=None,
             cert = certificate(st)
             cert.iterations = k
             cert.oracle_calls = oracle.calls
-            cert.trace = trace
+            cert.trace = records
             return cert
 
-        if mode == EXACT_DELTA:
-            w = st.psi()
-            psi_exact = w
-        else:
-            cfg = SketchConfig(eps=min(0.25, max(0.05, p.c_delta)),
-                               seed=int(rng.integers(0, 2**62)))
-            w = sketch_leverage(st.A, s, p.lam, cfg)
-            psi_exact = st.psi()
+        w = st.psi()
         i_star = select_refresh_index(st, w)
-        st.tau[i_star] = psi_exact[i_star]
+        st.tau[i_star] = w[i_star]
 
         if float(np.min(w)) <= p.c_d and st.m > st.n + 1:
             i_min = int(np.argmin(w))
@@ -392,7 +347,7 @@ def run_feasibility(oracle, n, params=None, mode=None, seed=0, trace=None,
             resp = oracle.query(st.x)
             if isinstance(resp, Inside):
                 return Found(st.x.copy(), iterations=k,
-                             oracle_calls=oracle.calls, trace=trace)
+                             oracle_calls=oracle.calls, trace=records)
             if not isinstance(resp, Halfspace):
                 raise PreconditionViolated("oracle returned %r" % (resp,))
             add_cut(st, -resp.c)
@@ -400,16 +355,17 @@ def run_feasibility(oracle, n, params=None, mode=None, seed=0, trace=None,
                 st.origin[-1] = ("cut", resp.meta)
             action = "add"
 
-        centering(st, mode=mode, seed=int(rng.integers(0, 2**62)))
-        psi_now = st.psi()
-        trace.append({
-            "k": k, "m": st.m, "potential": potential(st, psi_now),
-            "min_slack": float(np.min(st.s)),
-            "centrality": centrality(st, psi_now), "action": action,
-            "oracle_calls": oracle.calls,
-        })
+        centering(st)
+        if trace is not None:
+            psi_now = st.psi()
+            trace.append({
+                "k": k, "m": st.m, "potential": potential(st, psi_now),
+                "min_slack": float(np.min(st.s)),
+                "centrality": centrality(st, psi_now), "action": action,
+                "oracle_calls": oracle.calls,
+            })
 
-    raise IterationCapExceeded("no termination within %d iterations" % cap, trace)
+    raise IterationCapExceeded("no termination within %d iterations" % cap, records)
 
 
 @dataclass

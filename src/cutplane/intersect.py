@@ -101,13 +101,13 @@ def _dual_oracle(problem):
     return fo
 
 
-def solve_intersection(problem, seed=0, alpha=None):
+def solve_intersection(problem, alpha=None):
     """Near-maximizer z of <c, .> over K1 cap K2 (up to the delta budget)."""
     c = np.asarray(problem.c, float)
     d = c.size
     fo = _dual_oracle(problem)
     spec = OptimizeSpec(oracle=fo, n=3 * d, R=2 * problem.M,
-                        alpha=alpha if alpha is not None else 0.01, seed=seed)
+                        alpha=alpha if alpha is not None else 0.01)
     res = minimize(spec)
     t1, t2, t3 = _split(res.best_x, d)
     z = 0.5 * (t2 + t3)
@@ -393,8 +393,7 @@ def matroid_intersection(m1, m2, weights, Mbound, seed=0, max_retries=3):
         prob = IntersectProblem(c=znorm, oracle1=_Spy1(), oracle2=_Spy2(),
                                 M=M, lam=lam)
         try:
-            solve_intersection(prob, seed=seed + attempt,
-                               alpha=0.01 / (2 ** attempt))
+            solve_intersection(prob, alpha=0.01 / (2 ** attempt))
         except _CertifiedStop:
             return state["best_S"]
         # attempt finished without certifying; one deep polish before

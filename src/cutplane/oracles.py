@@ -2,8 +2,8 @@
 
 Two currencies circulate here: separation responses (inside, or a valid
 halfspace) and optimization oracles (near-argmax of a linear functional).
-The adapters between subgradients, optimization answers and separation
-responses live here too, so each solver only has to speak one language.
+The adapter from subgradients to separation responses lives here too, so
+each solver only has to speak one language.
 """
 
 from dataclasses import dataclass, field
@@ -100,12 +100,6 @@ def subgrad_to_separation(x, g, D, delta):
     if nrm <= 0.5 * np.sqrt(max(delta, 0.0) / D):
         return NearOptimal(eta=eta)
     return Halfspace(g / nrm, eta)
-
-
-def opt_to_subgrad(oracle, c):
-    """A delta-optimal answer for cost c is a delta-subgradient of the
-    support function f(c) = max_{x in K} <c, x>."""
-    return oracle.query(c)
 
 
 def vertex_opt_oracle(vertices):

@@ -164,7 +164,7 @@ def solve_dual(problem, eps_total=1e-2, seed=0, eig_backend="squaring"):
     fo = FunctionOracle(fn)
     alpha = eps_total / (7.0 * max(n, 1) * problem.M * problem.K * problem.L)
     alpha = min(max(alpha, 1e-6), 0.5)
-    spec = OptimizeSpec(oracle=fo, n=n, R=problem.L, alpha=alpha, seed=seed)
+    spec = OptimizeSpec(oracle=fo, n=n, R=problem.L, alpha=alpha)
     res = minimize(spec)
     return res.best_x, res.best_value, witnesses, res
 

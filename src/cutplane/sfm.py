@@ -258,7 +258,8 @@ def deduce_arc(f, arcs, decomposition, p, direction="FromUpper"):
     if n <= 1:
         raise TriggerNotMet("no candidate q exists")
     Rp = arcs.R(p)
-    up_p = bounds_compute_single_upper(f, Rp, p)
+    R = frozenset(Rp)
+    up_p = f(R) - f(R - {p})
     y = sum(lam * b.h for lam, b in decomposition)
     maxy = float(np.max(y))
     if maxy < 0:
@@ -279,11 +280,6 @@ def deduce_arc(f, arcs, decomposition, p, direction="FromUpper"):
     return p, q
 
 
-def bounds_compute_single_upper(f, Rp, p):
-    R = frozenset(Rp)
-    return f(R) - f(R - {p})
-
-
 def _deduce_arc_lower(f, arcs, decomposition, p):
     """Reduction through g(S) = f(V \\ S): reversed arcs, negated BFS with
     reversed permutations."""
@@ -301,43 +297,8 @@ def _deduce_arc_lower(f, arcs, decomposition, p):
     arcs_g = ArcSet(n)
     arcs_g.reach = arcs.reach.T.copy()
     deco_g = [(lam, Bfs(-b.h, list(reversed(b.perm)))) for lam, b in decomposition]
-    p2, q = deduce_arc_fwd_only(g, arcs_g, deco_g, p)
+    p2, q = deduce_arc(g, arcs_g, deco_g, p)
     return q, p2
-
-
-def deduce_arc_fwd_only(f, arcs, decomposition, p):
-    """FromUpper body callable with any (n, eval) pair, not only a wrapped
-    SubmodularFn (used by the g-reduction)."""
-    n = f.n
-    if n <= 1:
-        raise TriggerNotMet("no candidate q exists")
-    Rp = arcs.R(p)
-    R = frozenset(Rp)
-    up_p = f(R) - f(R - {p})
-    y = sum(lam * b.h for lam, b in decomposition)
-    maxy = float(np.max(y))
-    if maxy < 0:
-        raise TriggerNotMet("combination is degenerate negative")
-    l = min(range(len(decomposition)),
-            key=lambda k: decomposition[k][0] * (decomposition[k][1].h[p] - up_p))
-    lam_l, bfs_l = decomposition[l]
-    perm2 = _rebased_perm(bfs_l.perm, Rp)
-    h2 = np.zeros(n)
-    prev, chain = 0.0, []
-    for i in perm2:
-        chain.append(i)
-        v = f(frozenset(chain))
-        h2[i] = v - prev
-        prev = v
-    ypp = y + lam_l * (h2 - bfs_l.h)
-    outside = [j for j in range(n) if j not in Rp]
-    if not outside:
-        raise TriggerNotMet("R(p) is the whole ground set")
-    q = min(outside, key=lambda j: ypp[j])
-    scale = max(1.0, float(np.max(np.abs(y))), abs(up_p))
-    if not ypp[q] < -n * maxy - 1e-9 * scale:
-        raise TriggerNotMet("certifying inequality failed")
-    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +390,8 @@ def sfm_weakly(f, seed=0, alpha=None):
     bound (convex combinations of the emitted BFS's) stops the run the
     moment the incumbent is provably optimal; an eps ladder keeps the
     common case cheap while the last rung provides the contractual
-    accuracy alpha = 1/(4M).
+    accuracy alpha = 1/(4M).  The solver is deterministic; seed is
+    accepted for interface compatibility and has no effect.
     """
     n = f.n
     if n == 0:
@@ -453,7 +415,7 @@ def sfm_weakly(f, seed=0, alpha=None):
 
     for rung_alpha in (0.25, alpha):
         fo = FunctionOracle(fn)
-        spec = OptimizeSpec(oracle=fo, n=n, R=0.5, alpha=rung_alpha, seed=seed)
+        spec = OptimizeSpec(oracle=fo, n=n, R=0.5, alpha=rung_alpha)
         minimize(spec)
         if f.best_value - bound.value < 1.0 - 1e-9:
             break
@@ -598,7 +560,7 @@ class _BoundClosed(Exception):
     pass
 
 
-def _phase_certificate(fr, arcs, eps, seed, bound=None, closed=None):
+def _phase_certificate(fr, arcs, eps, bound=None, closed=None):
     """One cutting plane run on the ring polytope; returns the thin
     certificate, or raises _DegenerateBfs if a one-signed BFS shows up.
     An optional dual bound is fed every emitted BFS and may abort the
@@ -622,7 +584,7 @@ def _phase_certificate(fr, arcs, eps, seed, bound=None, closed=None):
             return Halfspace(resp.c, 0.0, meta=resp.meta).normalized()
 
     params = CpmParams.practical(d, R=0.5, eps=eps)
-    return run_feasibility(_O(), d, params, seed=seed)
+    return run_feasibility(_O(), d, params)
 
 
 def _decompose_certificate(cert, d):
@@ -744,7 +706,9 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
     dual_shortcut lets a phase return as soon as a running dual bound
     (built from its own BFS stream, offset by the forced-in elements)
     proves the incumbent set optimal; the arc machinery is unchanged
-    otherwise and fully exercised with the flag off.
+    otherwise and fully exercised with the flag off.  The solver is
+    deterministic; seed is accepted for interface compatibility and has no
+    effect.
     """
     P = ReducedProblem(f)
     max_phases = f.n * f.n + f.n + 2
@@ -762,7 +726,7 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
         try:
             # cheap degenerate probe first
             perm = sorted(range(fr.n), key=lambda i: (len(P.arcs.R(i)), i))
-            h = bfs_from_order_raw(fr, perm)
+            h = bfs_from_order(fr, perm).h
             sign = degenerate_shortcut(h)
             if sign:
                 raise _DegenerateBfs(sign)
@@ -772,8 +736,8 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
                     return f.best_set, f.best_value
             for eps in (1e-5, 1e-7):
                 try:
-                    cert = _phase_certificate(fr, P.arcs, eps, seed + phase,
-                                              bound=bound, closed=closed)
+                    cert = _phase_certificate(fr, P.arcs, eps, bound=bound,
+                                              closed=closed)
                 except IterationCapExceeded:
                     continue
                 except _BoundClosed:
@@ -794,17 +758,6 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
                              certificate=None)
         P.apply(fact)
     raise NoProgress("phase budget exhausted")
-
-
-def bfs_from_order_raw(fr, perm):
-    h = np.zeros(fr.n)
-    prev, chain = 0.0, []
-    for i in perm:
-        chain.append(i)
-        v = fr(frozenset(chain))
-        h[i] = v - prev
-        prev = v
-    return h
 
 
 # ---------------------------------------------------------------------------

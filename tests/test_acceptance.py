@@ -466,7 +466,7 @@ def test_criterion_10_scaling_trend():
     for n in ns:
         fn = _affine_max_oracle(n, 0)
         fo = FunctionOracle(fn)
-        spec = OptimizeSpec(oracle=fo, n=n, R=1.0, alpha=0.1, seed=0)
+        spec = OptimizeSpec(oracle=fo, n=n, R=1.0, alpha=0.1)
         minimize(spec)
         cp_calls.append(fo.calls)
 

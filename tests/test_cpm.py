@@ -19,8 +19,7 @@ warnings.filterwarnings("ignore", message="centering entered")
 
 def test_params_ordering_enforced():
     with pytest.raises(PreconditionViolated):
-        CpmParams(c_a=0.01, c_d=0.1, c_e=0.001, c_delta=1e-4, lam=1.0,
-                  R=1.0, eps=1e-4)
+        CpmParams(c_a=0.01, c_d=0.1, c_e=0.001, lam=1.0, R=1.0, eps=1e-4)
     p = CpmParams.practical(8)
     assert p.c_e <= p.c_d <= p.c_a
     t = CpmParams.theoretical(8)
@@ -213,3 +212,13 @@ def test_potential_decreases_under_centering():
     before = potential(st)
     centering(st, r=50, full_steps=True)
     assert potential(st) <= before + 1e-12
+
+
+def test_run_feasibility_found_above_fifty_dims():
+    # sizes above 50 take the same exact-leverage path as small ones
+    n = 51
+    c = np.zeros(n)
+    c[0] = 0.15
+    res = run_feasibility(box_oracle(c, 0.1), n)
+    assert isinstance(res, Found)
+    assert np.max(np.abs(res.x - c)) <= 0.1 + 1e-9

@@ -146,7 +146,7 @@ def test_dual_dominates_primal_everywhere():
     M = np.sqrt(n) + 1.0
     lam, _ = ii.schedule(M, 1e-1)
     prob = ii.IntersectProblem(c=c, oracle1=o1, oracle2=o2, M=M, lam=lam)
-    z, res = ii.solve_intersection(prob, seed=0, alpha=0.05)
+    z, res = ii.solve_intersection(prob, alpha=0.05)
     h_best = ii.h_lambda(res.best_x, prob)[0]
     f_best = -np.inf
     for Sx in itertools.chain.from_iterable(
@@ -200,3 +200,15 @@ def test_matroid_intersection_exact(idx):
     S = list(S)
     assert m1.independent(S) and m2.independent(S)
     assert sum(w[i] for i in S) == want
+
+
+def test_matroid_intersection_seventeen_elements():
+    # 17 elements give the dual 3 * 17 = 51 variables, a size above 50
+    n = 17
+    w = np.random.default_rng(0).integers(1, 10, n)
+    m1 = ii.UniformMatroid(4, n)
+    m2 = ii.PartitionMatroid([list(range(i, min(i + 4, n)))
+                              for i in range(0, n, 4)], [1] * 5, n)
+    S = list(ii.matroid_intersection(m1, m2, w, Mbound=int(w.max())))
+    assert m1.independent(S) and m2.independent(S)
+    assert sum(w[i] for i in S) == exhaustive_common(m1, m2, w, n)
