@@ -25,7 +25,7 @@ from .errors import (
     NoProgress,
     RoundingFailed,
 )
-from .oracles import FunctionOracle, Halfspace, Inside, SetOracle, subgrad_to_separation
+from .oracles import FunctionOracle, subgrad_to_separation
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -176,7 +176,11 @@ def cmd_matroid(args):
     m2 = load_matroid(_require(spec, "m2", args.spec), args.spec)
     weights = np.asarray(_require(spec, "weights", args.spec))
     Mbound = spec.get("Mbound", int(np.max(np.abs(weights))) + 1)
-    S = intersect.matroid_intersection(m1, m2, weights, Mbound, seed=args.seed)
+    try:
+        S = intersect.matroid_intersection(m1, m2, weights, Mbound,
+                                           seed=args.seed)
+    except ValueError as e:
+        raise InputError("%s in %s" % (e, args.spec))
     _emit({"set": sorted(int(i) for i in S),
            "weight": float(sum(weights[i] for i in S))})
     return EXIT_OK
@@ -219,8 +223,7 @@ def cmd_sdp(args):
                                           seed=args.seed)
     out = {"y": y.tolist(), "dual_value": val}
     if args.primal:
-        X, pval = sdp.recover_primal(prob, witnesses, eps=args.eps,
-                                     y_best=y, seed=args.seed)
+        X, pval = sdp.recover_primal(prob, witnesses, eps=args.eps, y_best=y)
         out["X"] = X.tolist()
         out["primal_value"] = pval
     _emit(out)

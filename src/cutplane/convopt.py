@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import CpmParams, run_feasibility
 from .errors import IterationCapExceeded
-from .oracles import Halfspace, Inside, NearOptimal
+from .oracles import Inside, NearOptimal
 
 
 @dataclass

@@ -45,10 +45,6 @@ class OutsideOmega(CutplaneError):
     pass
 
 
-class OracleInconsistent(CutplaneError):
-    """Independence oracle rejected a subset of an accepted set."""
-
-
 class RoundingFailed(CutplaneError):
     """Rounded matroid-intersection output failed an independence check."""
 

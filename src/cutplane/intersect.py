@@ -8,8 +8,11 @@ one oracle call per body).  Averaging the theta blocks of a near-minimizer
 recovers a near-optimal, near-feasible point.
 
 Matroid intersection rides on top: greedy is an exact optimization oracle
-for a matroid polytope, and a random isolation perturbation makes the
-optimum vertex unique so that rounding is safe.
+for a matroid polytope, and a random isolation perturbation of the integer
+weights makes the optimum vertex unique so that rounding is safe.  The
+perturbed weights drive the relaxation and rank the rounded sets; the
+optimality certificate is a weight-splitting bound on the raw weights,
+whose greedy sets are offered as rounded sets too.
 """
 
 import math
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convopt import OptimizeSpec, minimize
-from .errors import OutsideOmega, OracleInconsistent, RoundingFailed
-from .oracles import FunctionOracle, Halfspace, subgrad_to_separation
+from .errors import OutsideOmega, RoundingFailed
+from .oracles import (FunctionOracle, Halfspace, OptOracle,
+                      subgrad_to_separation)
 
 # schedule caps keeping float64 conditioning sane; accuracy downgrades are
 # surfaced through RoundingFailed retries, not silently
@@ -202,59 +206,22 @@ class GraphicMatroid:
         return True
 
 
-class RankOracle:
-    """Wraps an independence matroid as a rank oracle (for the greedy
-    variant that only sees ranks)."""
-
-    def __init__(self, matroid):
-        self.m = matroid
-        self.n = matroid.n
-
-    def rank(self, S):
-        r = 0
-        cur = []
-        for e in S:
-            cur.append(e)
-            if self.m.independent(cur):
-                r += 1
-            else:
-                cur.pop()
-        return r
-
-
-def matroid_greedy(oracle, weights):
-    """Maximum-weight independent set by greedy on positive weights.
-
-    Accepts either an independence oracle (.independent) or a rank oracle
-    (.rank); the rank variant locates each next addable element through
-    rank increments.
-    """
+def matroid_greedy(matroid, weights):
+    """Maximum-weight independent set by greedy on the positive weights,
+    with one independence query per candidate element."""
     weights = np.asarray(weights, float)
     order = sorted((i for i in range(len(weights)) if weights[i] > 0),
                    key=lambda i: (-weights[i], i))
     chosen = []
-    if hasattr(oracle, "independent"):
-        for e in order:
-            if oracle.independent(chosen + [e]):
-                # opportunistic sanity check on the way: prefixes must stay
-                # independent if the whole set is
-                if not oracle.independent(chosen):
-                    raise OracleInconsistent("subset of accepted set rejected")
-                chosen.append(e)
-    else:
-        r = 0
-        for e in order:
-            if oracle.rank(chosen + [e]) > r:
-                chosen.append(e)
-                r += 1
+    for e in order:
+        if matroid.independent(chosen + [e]):
+            chosen.append(e)
     return chosen
 
 
 def matroid_polytope_oracle(matroid, n):
     """Optimization oracle over the independent-set polytope: greedy on the
     positive part of the cost, returned as an indicator vector."""
-    from .oracles import OptOracle
-
     def fn(cvec):
         S = matroid_greedy(matroid, cvec)
         x = np.zeros(n)
@@ -268,44 +235,75 @@ class _CertifiedStop(Exception):
     """Internal: the incumbent rounded set is provably optimal."""
 
 
+class _Incumbent:
+    """Best common independent set offered so far.
+
+    Offers are ranked by the isolated weights z, which also ranks them by
+    the raw weights c: the perturbation terms of a set sum to less than the
+    multiplier of c.  `value` is the raw weight c(S) of the incumbent.
+    """
+
+    def __init__(self, c, z):
+        self.c, self.z = c, z
+        self.S, self.zval, self.value = None, None, None
+
+    def offer(self, S, *matroids):
+        """S becomes the incumbent if it beats it on z and every matroid in
+        `matroids` accepts it (the caller leaves out those known to)."""
+        zval = int(self.z[S].sum())
+        if self.S is not None and zval <= self.zval:
+            return
+        if all(m.independent(S) for m in matroids):
+            self.S, self.zval, self.value = list(S), zval, int(self.c[S].sum())
+
+    def certified(self, ub):
+        # c is integral, so a bound below c(S) + 1 leaves no better set
+        return ub < self.value + 1.0 - 1e-6
+
+
 def _greedy_value(matroid, w):
     S = matroid_greedy(matroid, w)
     return float(sum(w[i] for i in S)), S
 
 
-def _split_bound(m1, m2, z, w1, target, iters=150):
+def _split_bound(m1, m2, c, w1, inc, iters=150):
     """Lagrangian weight-splitting upper bound on max common weight.
 
-    For any real split w1 + w2 = z, greedy-max of w1 over m1 plus
-    greedy-max of w2 over m2 dominates z(S) for every common independent
-    set S.  Polyak subgradient steps toward the target tighten the split;
-    with integer z the minimum over splits is attained, so an incumbent of
-    weight target is optimal once the bound drops below target + 1.
+    For any real split w1 + w2 = c, greedy-max of w1 over m1 plus
+    greedy-max of w2 over m2 dominates c(S) for every common independent
+    set S.  Polyak subgradient steps toward the incumbent's weight tighten
+    the split, and the loop stops once `inc` is certified.  Each greedy set
+    that the other matroid accepts is offered to `inc`: by Frank's
+    weight-splitting theorem the greedy sets of a tight split are optimal
+    common independent sets, so this rounds where the witnesses do not.
     """
-    zf = np.asarray(z, float)
+    cf = np.asarray(c, float)
     w = np.asarray(w1, float).copy()
     best_ub, best_w = np.inf, w.copy()
     for _ in range(iters):
         v1, S1 = _greedy_value(m1, w)
-        v2, S2 = _greedy_value(m2, zf - w)
+        v2, S2 = _greedy_value(m2, cf - w)
+        inc.offer(S1, m2)
+        inc.offer(S2, m1)
         ub = v1 + v2
         if ub < best_ub:
             best_ub, best_w = ub, w.copy()
-        if best_ub < target + 1.0 - 1e-6:
+        if inc.certified(best_ub):
             break
-        g = np.zeros(zf.size)
+        g = np.zeros(cf.size)
         g[S1] += 1.0
         g[S2] -= 1.0
         gn = float(g @ g)
         if gn == 0.0:
             break
-        w -= ((ub - target) / gn) * g
+        w -= ((ub - inc.value) / gn) * g
     return best_ub, best_w
 
 
 def _round_candidates(xw, yw, z, m1, m2):
     """Candidate common independent sets from one witness pair: the plain
-    coordinatewise-min rounding plus a greedy repair of it."""
+    coordinatewise-min rounding, which the matroids must still check, and a
+    greedy repair of it, which is common independent by construction."""
     n = z.size
     common = np.minimum(xw, yw)
     plain = [i for i in range(n) if common[i] > 0.5]
@@ -323,89 +321,79 @@ def _round_candidates(xw, yw, z, m1, m2):
 def matroid_intersection(m1, m2, weights, Mbound, seed=0, max_retries=3):
     """Maximum-weight common independent set of two matroids.
 
-    Perturbs the weights for uniqueness and solves the two-body relaxation;
-    every oracle witness pair along the run is a pair of polytope vertices,
-    so the coordinatewise min of any pair rounds to a common independent
-    set.  A weight-splitting bound checked on the fly stops the solve as
-    soon as the incumbent is provably optimal.
+    The weights must be integers (ValueError otherwise): the isolation
+    perturbation and the optimality certificate both rely on it.  The
+    perturbed weights z drive the two-body relaxation; every oracle witness
+    pair along the run is a pair of polytope vertices, so the
+    coordinatewise min of any pair rounds to a common independent set.  A
+    weight-splitting bound on the raw weights, checked on the fly, stops
+    the solve as soon as the incumbent is provably optimal.
     """
-    weights = np.asarray(weights)
-    n = weights.size
-    if np.max(np.abs(weights)) > Mbound:
+    c = np.asarray(weights)
+    if (c.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(c) & (c == np.round(c)))):
+        raise ValueError("weights must be integers")
+    c = c.astype(np.int64)
+    n = c.size
+    if np.max(np.abs(c)) > Mbound:
         raise ValueError("weights exceed the declared bound")
-    z = isolation_perturb(weights, n, max(int(Mbound), 1), seed)
+    z = isolation_perturb(c, n, max(int(Mbound), 1), seed)
     zscale = max(np.linalg.norm(z.astype(float)), 1.0)
     znorm = z / zscale
+    cscale = np.linalg.norm(c.astype(float))
 
     o1 = matroid_polytope_oracle(m1, n)
     o2 = matroid_polytope_oracle(m2, n)
-    state = {"best_S": None, "best_w": -1.0, "c1": None, "x": None,
-             "queries": 0}
+    inc = _Incumbent(c, z)
+    state = {"c1": None, "x": None, "queries": 0, "w_best": None,
+             "ub_best": np.inf}
 
-    def consider(S):
-        S = list(S)
-        if m1.independent(S) and m2.independent(S):
-            wgt = float(sum(z[i] for i in S))
-            if wgt > state["best_w"]:
-                state["best_S"], state["best_w"] = S, wgt
+    def bound(w_start, iters=150):
+        ub, w_out = _split_bound(m1, m2, c, w_start, inc, iters)
+        if ub < state["ub_best"]:
+            state["ub_best"], state["w_best"] = ub, w_out
+        return inc.certified(ub)
 
-    class _Spy1:
-        delta = 0.0
-        calls = 0
+    def query1(cq):
+        state["c1"], state["x"] = cq, o1.query(cq)
+        return state["x"]
 
-        def query(self, c):
-            self.calls += 1
-            state["c1"] = np.asarray(c, float)
-            state["x"] = o1.query(c)
-            return state["x"]
-
-    class _Spy2:
-        delta = 0.0
-        calls = 0
-
-        def query(self, c):
-            self.calls += 1
-            y = o2.query(c)
-            for S in _round_candidates(state["x"], y, z, m1, m2):
-                consider(S)
-            state["queries"] += 1
-            if state["queries"] % 5 == 0 and state["best_S"] is not None:
-                # split implied by the current dual point: the theta_2/3
-                # blocks contribute O(M/lambda) here, which the bound
-                # absorbs since any split is valid
-                w1 = z / 2.0 + zscale * (state["c1"] - np.asarray(c, float)) / 2.0
-                starts = [w1]
-                if state.get("w_best") is not None:
-                    starts.append(state["w_best"])
-                for w_start in starts:
-                    ub, w_out = _split_bound(m1, m2, z, w_start,
-                                             state["best_w"])
-                    if state.get("ub_best", np.inf) > ub:
-                        state["ub_best"], state["w_best"] = ub, w_out
-                    if ub < state["best_w"] + 1.0 - 1e-6:
-                        raise _CertifiedStop()
-            return y
+    def query2(cq):
+        y = o2.query(cq)
+        plain, repaired = _round_candidates(state["x"], y, z, m1, m2)
+        inc.offer(plain, m1, m2)
+        inc.offer(repaired)
+        state["queries"] += 1
+        if state["queries"] % 5 == 0 and inc.S is not None:
+            # split of c implied by the current dual point, rescaled from
+            # the normalized weights; the theta_2/3 blocks contribute
+            # O(M/lambda) here, which the bound absorbs since any split
+            # is valid
+            starts = [c / 2.0 + cscale * (state["c1"] - cq) / 2.0]
+            if state["w_best"] is not None:
+                starts.append(state["w_best"])
+            for w_start in starts:
+                if bound(w_start):
+                    raise _CertifiedStop()
+        return y
 
     M = math.sqrt(n) + 1.0
     delta = 1.0 / (6.0 * n * n * max(int(Mbound), 1) ** 2)
     for attempt in range(max_retries):
         lam, _ = schedule(M, max(delta / (2 ** attempt), 1e-4))
-        prob = IntersectProblem(c=znorm, oracle1=_Spy1(), oracle2=_Spy2(),
-                                M=M, lam=lam)
+        prob = IntersectProblem(c=znorm, oracle1=OptOracle(query1),
+                                oracle2=OptOracle(query2), M=M, lam=lam)
         try:
             solve_intersection(prob, alpha=0.01 / (2 ** attempt))
         except _CertifiedStop:
-            return state["best_S"]
+            return inc.S
         # attempt finished without certifying; one deep polish before
         # deciding whether the next rung is worth paying for
-        if state["best_S"] is not None:
-            start = state.get("w_best")
-            start = z / 2.0 if start is None else start
-            ub, _ = _split_bound(m1, m2, z, start, state["best_w"],
-                                 iters=3000)
-            if ub < state["best_w"] + 1.0 - 1e-6:
-                return state["best_S"]
-    if state["best_S"] is not None:
-        return state["best_S"]
+        if inc.S is not None:
+            start = state["w_best"]
+            if bound(c / 2.0 if start is None else start, iters=3000):
+                return inc.S
+    if inc.S is not None:
+        return inc.S
     raise RoundingFailed("rounded set failed an independence check "
                          "after %d attempts" % max_retries)

@@ -12,12 +12,12 @@ the rank-one witnesses collected along the dual run.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convopt import OptimizeSpec, minimize
-from .oracles import FunctionOracle, Halfspace, subgrad_to_separation
+from .oracles import FunctionOracle, subgrad_to_separation
 
 
 @dataclass
@@ -169,7 +169,7 @@ def solve_dual(problem, eps_total=1e-2, seed=0, eig_backend="squaring"):
     return res.best_x, res.best_value, witnesses, res
 
 
-def recover_primal(problem, witnesses, eps=1e-2, y_best=None, seed=0):
+def recover_primal(problem, witnesses, eps=1e-2, y_best=None):
     """X = sum_j alpha_j v_j v_j^T maximizing the penalized primal
 
         g(alpha) = -L sum_i |b_i - sum_j alpha_j v_j^T A_i v_j|

@@ -20,7 +20,7 @@ asked to evaluate (every candidate the solvers produce passes through it).
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
     TriggerNotMet,
 )
-from .oracles import FunctionOracle, Halfspace, Inside, NearOptimal
+from .oracles import FunctionOracle, Halfspace, NearOptimal
 
 
 class SubmodularFn:

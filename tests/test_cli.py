@@ -116,6 +116,17 @@ def test_matroid_subcommand(specs):
     assert out["weight"] == 8.0  # one of {0,1} plus one of {2,3}: 5+3
 
 
+def test_matroid_rejects_fractional_weights(specs):
+    path = specs("mi.json", {
+        "m1": {"type": "uniform", "rank": 1, "n": 2},
+        "m2": {"type": "free", "n": 2},
+        "weights": [1.5, 2],
+    })
+    r = run_cli(["matroid", "--spec", path])
+    assert r.returncode == 3
+    assert "integer" in json.loads(r.stderr)["error"]
+
+
 def test_sdp_subcommand(specs):
     path = specs("sdp.json", {
         "C": [[2.0, 1.0], [1.0, -1.0]],

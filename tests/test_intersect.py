@@ -39,21 +39,13 @@ def test_graphic_matroid_detects_cycles():
     assert not m.independent([0, 1, 2])
 
 
-def test_rank_oracle_consistency():
-    m = ii.PartitionMatroid([[0, 1, 2]], [2], 3)
-    r = ii.RankOracle(m)
-    assert r.rank([0, 1, 2]) == 2
-    assert r.rank([]) == 0
-    assert r.rank([0]) == 1
-
-
 def test_matroid_greedy_is_exhaustive_max():
     rng = np.random.default_rng(0)
     for trial in range(10):
         n = 6
         m = ii.PartitionMatroid([[0, 1, 2], [3, 4, 5]], [2, 1], n)
         w = rng.integers(1, 16, size=n)
-        S = ii.matroid_greedy(ii.RankOracle(m), w)
+        S = ii.matroid_greedy(m, w)
         best = 0
         for r in range(n + 1):
             for T in itertools.combinations(range(n), r):
@@ -212,3 +204,80 @@ def test_matroid_intersection_seventeen_elements():
     S = list(ii.matroid_intersection(m1, m2, w, Mbound=int(w.max())))
     assert m1.independent(S) and m2.independent(S)
     assert sum(w[i] for i in S) == exhaustive_common(m1, m2, w, n)
+
+
+def test_matroid_intersection_rejects_non_integer_weights():
+    m1 = ii.UniformMatroid(1, 3)
+    m2 = ii.FreeMatroid(3)
+    with pytest.raises(ValueError, match="integer"):
+        ii.matroid_intersection(m1, m2, [1.5, 2.0, 1.0], Mbound=2)
+    # integral values in a float array are integer weights
+    S = ii.matroid_intersection(m1, m2, [1.0, 2.0, 1.0], Mbound=2)
+    assert list(S) == [1]
+
+
+# ---------------------------------------------------------------------------
+# oracle-call budgets: counted independent() calls, not wall-clock limits
+
+class OracleBudgetExceeded(Exception):
+    pass
+
+
+class BudgetedMatroid:
+    """Independence oracle that counts its calls against a budget shared
+    with its sibling, and stops the solve once the budget is spent."""
+
+    def __init__(self, matroid, spent, budget):
+        self.m, self.n = matroid, matroid.n
+        self.spent, self.budget = spent, budget
+
+    def independent(self, S):
+        self.spent[0] += 1
+        if self.spent[0] > self.budget:
+            raise OracleBudgetExceeded("over %d independent() calls"
+                                       % self.budget)
+        return self.m.independent(S)
+
+
+def solve_matching(side, edges, w, budget):
+    """Max-weight bipartite matching through matroid_intersection with a
+    budget of independent() calls; returns the weight and the calls."""
+    n = len(edges)
+    spent = [0]
+    m1, m2 = (BudgetedMatroid(ii.PartitionMatroid(
+        [[e for e in range(n) if edges[e][k] == v] for v in range(side)],
+        [1] * side, n), spent, budget) for k in (0, 1))
+    S = list(ii.matroid_intersection(m1, m2, np.asarray(w),
+                                     Mbound=int(max(w))))
+    for k in (0, 1):
+        assert len({edges[e][k] for e in S}) == len(S)
+    return sum(w[e] for e in S), spent[0]
+
+
+def assignment_value(side, edges, w):
+    from scipy.optimize import linear_sum_assignment
+    W = np.zeros((side, side))
+    for (a, b), x in zip(edges, w):
+        W[a, b] = x
+    rows, cols = linear_sum_assignment(W, maximize=True)
+    return W[rows, cols].sum()
+
+
+def test_matching_4_within_oracle_budget():
+    # two optimal matchings of weight 3: the optimum is not unique, so the
+    # certificate has to close on the raw weights (about 60 calls)
+    edges, w = [(0, 0), (0, 1), (1, 1)], [2, 3, 1]
+    value, _ = solve_matching(2, edges, w, budget=1000)
+    assert value == 3
+
+
+def test_random_matchings_within_oracle_budget():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        side = int(rng.integers(2, 5))
+        pairs = [(a, b) for a in range(side) for b in range(side)]
+        keep = rng.random(len(pairs)) < 0.5
+        edges = [p for p, k in zip(pairs, keep) if k] or pairs[:1]
+        w = [int(x) for x in rng.integers(1, 9, size=len(edges))]
+        value, _ = solve_matching(side, edges, w, budget=20000)
+        assert value == assignment_value(side, edges, w), (side, edges, w)
