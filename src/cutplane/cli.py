@@ -2,24 +2,21 @@
 
 One solve per invocation; results go to stdout as JSON, per-iteration
 traces to --trace as JSONL.  Exit codes are the machine interface:
-0 solved, 2 infeasible / thin certificate, 3 input error, 4 solver
-diagnostic (NoProgress, IterationCapExceeded, RoundingFailed).
+0 solved, 2 infeasible / thin certificate, 3 input or usage error, 4
+solver diagnostic (NoProgress, IterationCapExceeded, RoundingFailed).
 """
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import chasing, core, intersect, sdp, sfm
 from .convopt import OptimizeSpec, minimize
 from .errors import (
-    CutplaneError,
     InputError,
     IterationCapExceeded,
     NoProgress,
@@ -52,6 +49,20 @@ def _require(d, key, path):
     if key not in d:
         raise InputError("missing key %r in %s" % (key, path))
     return d[key]
+
+
+def _field(d, key, path, conv, default=None):
+    """conv(d[key]), or conv(default) when the key is absent and a default
+    is given.  A missing key or a value conv rejects is an InputError."""
+    value = _require(d, key, path) if default is None else d.get(key, default)
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as e:
+        raise InputError("bad value for %r in %s: %s" % (key, path, e))
+
+
+def _floats(value):
+    return np.asarray(value, float)
 
 
 def _write_trace(path, records):
@@ -93,34 +104,38 @@ def load_matroid(d, path="<spec>"):
     raise InputError("unknown matroid type %r in %s" % (kind, path))
 
 
-def _load_set_oracle(d, path):
+def _load_set_oracle(d, path, n):
     kind = _require(d, "type", path)
     if kind == "box":
         from .oracles import box_oracle
-        return box_oracle(np.asarray(_require(d, "center", path), float),
-                          float(_require(d, "radius", path)))
+        center = _field(d, "center", path, _floats)
+        if center.shape != (n,):
+            raise InputError("box center in %s has shape %s, need (%d,)"
+                             % (path, center.shape, n))
+        return box_oracle(center, _field(d, "radius", path, float))
     if kind == "halfspaces":
         from .oracles import halfspace_set_oracle
-        A = _require(d, "A", path)
-        b = _require(d, "b", path)
+        A = _field(d, "A", path, _floats)
+        b = _field(d, "b", path, _floats)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise InputError("halfspace matrix A in %s has shape %s, need "
+                             "rows of length %d" % (path, A.shape, n))
+        if b.shape != (A.shape[0],):
+            raise InputError("halfspace bounds b in %s have shape %s, need "
+                             "(%d,)" % (path, b.shape, A.shape[0]))
         return halfspace_set_oracle(list(zip(A, b)))
     raise InputError("unknown set type %r in %s" % (kind, path))
 
 
-def _params_for(args, n, R, eps):
-    if args.profile == "theoretical":
-        return core.CpmParams.theoretical(n, R=R, eps=eps)
-    return core.CpmParams.practical(n, R=R, eps=eps)
-
-
 def cmd_feas(args):
     spec = _load_json(args.spec)
-    n = int(_require(spec, "n", args.spec))
-    R = float(spec.get("R", 1.0))
-    eps = float(spec.get("eps", 1e-4))
-    oracle = _load_set_oracle(_require(spec, "set", args.spec), args.spec)
+    n = _field(spec, "n", args.spec, int)
+    R = _field(spec, "R", args.spec, float, 1.0)
+    eps = _field(spec, "eps", args.spec, float, 1e-4)
+    oracle = _load_set_oracle(_require(spec, "set", args.spec), args.spec, n)
     trace = [] if args.trace else None
-    out = core.run_feasibility(oracle, n, _params_for(args, n, R, eps),
+    out = core.run_feasibility(oracle, n,
+                               core.CpmParams.practical(n, R=R, eps=eps),
                                trace=trace)
     _write_trace(args.trace, trace)
     if isinstance(out, core.Found):
@@ -137,22 +152,29 @@ def cmd_feas(args):
 def cmd_opt(args):
     spec = _load_json(args.spec)
     kind = _require(spec, "type", args.spec)
-    n = int(_require(spec, "n", args.spec))
-    R = float(spec.get("R", 1.0))
+    n = _field(spec, "n", args.spec, int)
+    R = _field(spec, "R", args.spec, float, 1.0)
     if kind != "affine_max":
         raise InputError("unknown objective type %r" % kind)
-    slopes = np.asarray(_require(spec, "slopes", args.spec), float)
-    offsets = np.asarray(_require(spec, "offsets", args.spec), float)
+    slopes = _field(spec, "slopes", args.spec, _floats)
+    offsets = _field(spec, "offsets", args.spec, _floats)
+    if slopes.ndim != 2 or slopes.shape[1] != n:
+        raise InputError("slopes in %s have shape %s, need rows of length %d"
+                         % (args.spec, slopes.shape, n))
+    if offsets.shape != (slopes.shape[0],):
+        raise InputError("offsets in %s have shape %s, need (%d,)"
+                         % (args.spec, offsets.shape, slopes.shape[0]))
     D = 2 * R * math.sqrt(n)
 
     def fn(x):
         vals = slopes @ x + offsets
         j = int(np.argmax(vals))
-        return float(vals[j]), subgrad_to_separation(x, slopes[j], D, 0.0)
+        return float(vals[j]), subgrad_to_separation(slopes[j], D, 0.0)
 
     fo = FunctionOracle(fn)
     res = minimize(OptimizeSpec(oracle=fo, n=n, R=R,
-                                alpha=float(spec.get("alpha", 0.01))))
+                                alpha=_field(spec, "alpha", args.spec,
+                                             float, 0.01)))
     _emit({"best_value": res.best_value, "best_x": res.best_x.tolist(),
            "oracle_calls": res.oracle_calls, "termination": res.termination})
     return EXIT_OK
@@ -199,11 +221,11 @@ def _load_opt_body(d, path):
 
 def cmd_intersect(args):
     spec = _load_json(args.spec)
-    c = np.asarray(_require(spec, "c", args.spec), float)
-    M = float(_require(spec, "M", args.spec))
+    c = _field(spec, "c", args.spec, _floats)
+    M = _field(spec, "M", args.spec, float)
     o1 = _load_opt_body(_require(spec, "body1", args.spec), args.spec)
     o2 = _load_opt_body(_require(spec, "body2", args.spec), args.spec)
-    delta = float(spec.get("delta", 1e-2))
+    delta = _field(spec, "delta", args.spec, float, 1e-2)
     lam, _ = intersect.schedule(M, delta)
     prob = intersect.IntersectProblem(c=c, oracle1=o1, oracle2=o2, M=M,
                                       lam=lam, delta=delta)
@@ -215,15 +237,15 @@ def cmd_intersect(args):
 
 def cmd_sdp(args):
     spec = _load_json(args.spec)
-    prob = sdp.SdpProblem(C=np.asarray(_require(spec, "C", args.spec), float),
-                          A=[np.asarray(Ai, float)
-                             for Ai in _require(spec, "A", args.spec)],
-                          b=np.asarray(_require(spec, "b", args.spec), float))
+    prob = sdp.SdpProblem(C=_field(spec, "C", args.spec, _floats),
+                          A=_field(spec, "A", args.spec,
+                                   lambda A: [_floats(Ai) for Ai in A]),
+                          b=_field(spec, "b", args.spec, _floats))
     y, val, witnesses, _ = sdp.solve_dual(prob, eps_total=args.eps,
                                           seed=args.seed)
     out = {"y": y.tolist(), "dual_value": val}
     if args.primal:
-        X, pval = sdp.recover_primal(prob, witnesses, eps=args.eps, y_best=y)
+        X, pval = sdp.recover_primal(prob, witnesses, y_best=y)
         out["X"] = X.tolist()
         out["primal_value"] = pval
     _emit(out)
@@ -239,46 +261,16 @@ def cmd_chase(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
-    rows = []
-    for name in files:
-        path = os.path.join(args.corpus, name)
-        spec = _load_json(path)
-        cmd = spec.get("command", "sfm")
-        t0 = time.perf_counter()
-        verdict, n, calls = "ok", spec.get("n", ""), ""
-        try:
-            if cmd == "sfm":
-                f = load_function(spec, path)
-                n = f.n
-                _, val = sfm.sfm_weakly(f, seed=args.seed)
-                calls = f.eo_calls
-                verdict = "min=%s" % val
-            elif cmd == "feas":
-                oracle = _load_set_oracle(spec["set"], path)
-                n = int(spec["n"])
-                params = core.CpmParams.practical(n, R=spec.get("R", 1.0),
-                                                  eps=spec.get("eps", 1e-4))
-                out = core.run_feasibility(oracle, n, params)
-                calls = out.oracle_calls
-                verdict = "found" if isinstance(out, core.Found) else "certificate"
-            else:
-                verdict = "skipped"
-        except CutplaneError as e:
-            verdict = "diagnostic:%s" % type(e).__name__
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        rows.append((name, n, calls, "%.1f" % wall_ms, verdict))
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["instance", "n", "oracle_calls", "wall_ms", "verdict"])
-        w.writerows(rows)
-    _emit({"instances": len(rows), "out": args.out})
-    return EXIT_OK
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit through InputError (exit 3): argparse's own exit
+    status 2 is this CLI's thin-certificate code."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
 
 
 def _build_parser():
-    p = argparse.ArgumentParser(prog="cutplane")
+    p = _Parser(prog="cutplane")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -286,8 +278,6 @@ def _build_parser():
 
     sp = sub.add_parser("feas")
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--profile", choices=["practical", "theoretical"],
-                    default="practical")
     sp.add_argument("--trace", default=None)
     common(sp)
     sp.set_defaults(fn=cmd_feas)
@@ -329,21 +319,15 @@ def _build_parser():
                     choices=["zero", "sparse", "dense", "adaptive"])
     common(sp)
     sp.set_defaults(fn=cmd_chase)
-
-    sp = sub.add_parser("bench")
-    sp.add_argument("--corpus", required=True)
-    sp.add_argument("--out", required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("CUTPLANE_SEED", "0"))
     try:
+        args = _build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _field(os.environ, "CUTPLANE_SEED", "the environment",
+                               int, "0")
         return args.fn(args)
     except InputError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)

@@ -38,30 +38,17 @@ class CpmParams:
     lam: float
     R: float
     eps: float
-    centering_steps: int = 200
-    profile: str = "practical"
 
     @staticmethod
-    def practical(n, R=1.0, eps=1e-4, centering_steps=200):
+    def practical(n, R=1.0, eps=1e-4):
         c_a, c_d = 0.1, 0.01
         c_e = c_d / (6.0 * math.log(17.0 * n * R / eps))
-        return CpmParams(c_a, c_d, c_e, 1.0 / (c_a * R * R), R, eps,
-                         centering_steps, "practical")
-
-    @staticmethod
-    def theoretical(n, R=1.0, eps=1e-4, centering_steps=200):
-        c_a, c_d = 1e-10, 1e-12
-        c_e = c_d / (6.0 * math.log(17.0 * n * R / eps))
-        return CpmParams(c_a, c_d, c_e, 1.0 / (c_a * R * R), R, eps,
-                         centering_steps, "theoretical")
+        return CpmParams(c_a, c_d, c_e, 1.0 / (c_a * R * R), R, eps)
 
     def __post_init__(self):
         # ordering constraints that the analysis actually leans on
         if not (self.c_e <= self.c_d <= self.c_a):
             raise PreconditionViolated("need c_e <= c_d <= c_a")
-        if self.profile == "theoretical":
-            if self.c_a ** 1.5 > self.c_d / 1e3 * (1 + 1e-12):
-                raise PreconditionViolated("need c_a^(3/2) <= c_d/1000")
 
 
 @dataclass
@@ -155,7 +142,7 @@ def centrality(st, psi=None):
     return float(np.sqrt(y @ y))
 
 
-def centering(st, r=None, full_steps=False, exit_floor=None):
+def centering(st, r=200, full_steps=False, exit_floor=None):
     """Damped Newton recentering with a frozen approximate Hessian.
 
     Runs r steps x <- x - (1/8) Q^-1 grad, updating tau after each step by
@@ -164,14 +151,11 @@ def centering(st, r=None, full_steps=False, exit_floor=None):
     every downstream consumer.
     """
     p = st.params
-    r = p.centering_steps if r is None else r
     psi0 = st.psi()
     e0 = st.tau - psi0
     if np.max(np.abs(e0)) > p.c_e / 3 + 1e-12:
-        msg = "centering entered with ||e||_inf = %g > c_e/3" % np.max(np.abs(e0))
-        if p.profile == "theoretical":
-            raise PreconditionViolated(msg)
-        warnings.warn(msg)
+        warnings.warn("centering entered with ||e||_inf = %g > c_e/3"
+                      % np.max(np.abs(e0)))
     # Q is the Hessian at entry, so the first Newton solve is also the
     # entry centrality
     Q = hessian_weights(st, psi0)
@@ -180,10 +164,8 @@ def centering(st, r=None, full_steps=False, exit_floor=None):
     delta0 = float(np.sqrt(z @ z))
     thresh = 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
     if delta0 > thresh * (1 + 1e-9):
-        msg = "centering entered with centrality %g > %g" % (delta0, thresh)
-        if p.profile == "theoretical":
-            raise PreconditionViolated(msg)
-        warnings.warn(msg)
+        warnings.warn("centering entered with centrality %g > %g"
+                      % (delta0, thresh))
     if exit_floor is None:
         exit_floor = 0.3 * 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
 
@@ -289,13 +271,13 @@ class ThinCertificate:
         return (3.0 * n / params.c_e) * self.min_slack
 
 
-def certificate(st, extra_centering=True):
+def certificate(st):
     """Thin-width certificate: the pivot row is nearly the negation of a
-    nonnegative combination of the others, with small combined slack."""
+    nonnegative combination of the others, with small combined slack.
+    A burst of centering steps first tightens the point."""
     p = st.params
-    if extra_centering:
-        burst = int(math.ceil(64.0 * math.log(2.0 * p.R / p.eps)))
-        centering(st, r=burst, exit_floor=1e-14)
+    burst = int(math.ceil(64.0 * math.log(2.0 * p.R / p.eps)))
+    centering(st, r=burst, exit_floor=1e-14)
     s = st.check_slack()
     i = int(np.argmin(s))
     t = (s[i] / s) * (p.c_e + st.tau) / (p.c_e + st.tau[i])
@@ -310,7 +292,7 @@ def certificate(st, extra_centering=True):
     )
 
 
-def run_feasibility(oracle, n, params=None, trace=None, cap_constant=5000):
+def run_feasibility(oracle, n, params=None, trace=None):
     """Main loop: refresh one leverage estimate, add or drop a cut, recenter.
 
     oracle must answer Inside or a (normalized) Halfspace for the target
@@ -322,7 +304,7 @@ def run_feasibility(oracle, n, params=None, trace=None, cap_constant=5000):
         params = CpmParams.practical(n)
     p = params
     st = initial_state(n, p)
-    cap = int(math.ceil(cap_constant * n * math.log(n * p.R / p.eps)))
+    cap = int(math.ceil(5000 * n * math.log(n * p.R / p.eps)))
     records = [] if trace is None else trace
 
     for k in range(1, cap + 1):

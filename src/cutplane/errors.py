@@ -53,10 +53,6 @@ class OutOfBox(CutplaneError):
     pass
 
 
-class DegenerateInput(CutplaneError):
-    pass
-
-
 class TriggerNotMet(CutplaneError):
     """Arc deduction was attempted but its certifying inequality failed."""
 

@@ -98,7 +98,7 @@ def _dual_oracle(problem):
         g = np.concatenate([lam * (x - y) + lam * t1,
                             x / lam + t2 / lam,
                             y / lam + t3 / lam])
-        return val, subgrad_to_separation(theta, g, D, sub_delta)
+        return val, subgrad_to_separation(g, D, sub_delta)
 
     fo = FunctionOracle(fn)
     fo.witnesses = []

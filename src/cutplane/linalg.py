@@ -40,38 +40,6 @@ def cholesky_jittered(M):
     )
 
 
-def solve_chol(L, b):
-    """Solve L L^T x = b given the lower factor."""
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
-
-
-def solve_pd(M, b, eps=1e-10):
-    """Solve M x = b for symmetric positive definite M.
-
-    eps is a relative tolerance in the M-norm; Cholesky on well conditioned
-    desk-scale matrices lands far below it, so no iterative refinement is
-    attempted unless the residual actually misses.
-    """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
-    L, _ = cholesky_jittered(M)
-    x = solve_chol(L, b)
-    # one step of refinement if the residual is sloppy
-    r = b - M @ x
-    if np.linalg.norm(r) > eps * max(np.linalg.norm(b), 1e-300):
-        x = x + solve_chol(L, r)
-    return x
-
-
-def gram_matrix(A, s, lam):
-    """A^T S^-2 A + lambda I for slack vector s."""
-    A = np.asarray(A, dtype=float)
-    s = np.asarray(s, dtype=float)
-    As = A / s[:, None]
-    return As.T @ As + lam * np.eye(A.shape[1])
-
-
 def leverage_exact(A, s, lam):
     """Regularized leverage scores psi_i = (a_i/s_i)^T G^-1 (a_i/s_i).
 
@@ -88,14 +56,6 @@ def leverage_exact(A, s, lam):
     psi = np.einsum("ij,ij->j", W, W)
     # clamp tiny float drift back into [0, 1]
     return np.clip(psi, 0.0, 1.0)
-
-
-def quadratic_form(A, s, lam, v):
-    """v^T (A^T S^-2 A + lambda I)^-1 v, shared kernel for cut shifts."""
-    G = gram_matrix(A, s, lam)
-    L, _ = cholesky_jittered(G)
-    w = np.linalg.solve(L, np.asarray(v, dtype=float))
-    return float(w @ w)
 
 
 def logdet_pd(M):

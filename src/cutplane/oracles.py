@@ -6,7 +6,7 @@ The adapter from subgradients to separation responses lives here too, so
 each solver only has to speak one language.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,12 +64,10 @@ class FunctionOracle:
 
     fn: object  # x -> (value, NearOptimal | Halfspace)
     calls: int = 0
-    log: list = field(default_factory=list)
 
     def query(self, x):
         self.calls += 1
         value, r = self.fn(np.asarray(x, dtype=float))
-        self.log.append((np.array(x, dtype=float), float(value)))
         if isinstance(r, Halfspace):
             return value, r.normalized()
         return value, r
@@ -88,8 +86,9 @@ class OptOracle:
         return np.asarray(self.fn(np.asarray(c, dtype=float)), dtype=float)
 
 
-def subgrad_to_separation(x, g, D, delta):
-    """Turn a delta-subgradient at x into a separation response.
+def subgrad_to_separation(g, D, delta):
+    """Turn a delta-subgradient g at the query point x into a separation
+    response.
 
     Small gradients certify near-optimality with slack 2*sqrt(delta*D);
     otherwise the normalized gradient cuts off x up to the same slack.

@@ -2,13 +2,14 @@
 
 The dual objective is penalized with a trace cap K:
 
-    f_K(y) = b^T y + K * max(lambda_max(C - sum_i y_i A_i), 0)
+    fK(y) = b^T y + K * max(lambda_max(C - sum_i y_i A_i), 0)
 
 which is convex, and whose subgradient needs one near-top eigenvector of
 the slack matrix.  Eigenvectors come from repeated squaring of a shifted
-slack (with a dense Jacobi fallback for cross-checking).  Primal recovery
-maximizes a concave piecewise-linear program over the simplex spanned by
-the rank-one witnesses collected along the dual run.
+slack.  Primal recovery maximizes a concave piecewise-linear program over
+the simplex spanned by the rank-one witnesses collected along the dual
+run, seeded with the top eigenvector of the slack at the best dual point,
+which dense Jacobi rotations compute.
 """
 
 import math
@@ -89,7 +90,7 @@ def max_eigvec(Y, R, eps, seed, restarts=None):
 
 
 def jacobi_max_eig(Y, sweeps=30, tol=1e-12):
-    """Dense Jacobi rotations; the independent eigensolver backend."""
+    """Top eigenpair of symmetric Y by dense Jacobi rotations."""
     Ymat = np.array(Y, float)
     m = Ymat.shape[0]
     V = np.eye(m)
@@ -115,39 +116,25 @@ def jacobi_max_eig(Y, sweeps=30, tol=1e-12):
     return V[:, i], float(Ymat[i, i])
 
 
-def f_K(problem, y, eig_backend="squaring", eps=1e-8, seed=0):
-    S = problem.slack(y)
-    if eig_backend == "jacobi":
-        _, lmax = jacobi_max_eig(S)
-    else:
-        R = max(1.0, float(np.linalg.norm(S, "fro")))
-        _, lmax = max_eigvec(S, R, eps, seed)
-    return float(problem.b @ y) + problem.K * max(lmax, 0.0)
-
-
-def fK_separation(y, problem, eps, seed=0, eig_backend="squaring"):
-    """Value, separation response and rank-one witness for f_K at y."""
+def fK_separation(y, problem, eps, seed=0):
+    """Value, separation response and rank-one witness for fK at y."""
     S = problem.slack(y)
     R = max(1.0, float(np.linalg.norm(S, "fro")))
-    if eig_backend == "jacobi":
-        u, lmax = jacobi_max_eig(S)
-    else:
-        u, lmax = max_eigvec(S, R, eps, seed)
+    u, lmax = max_eigvec(S, R, eps, seed)
     n = problem.ncons
     if lmax > 0:
         v = math.sqrt(problem.K) * u
         g = problem.b - np.array([float(v @ Ai @ v) for Ai in problem.A])
         value = float(problem.b @ y) + problem.K * lmax
     else:
-        v = u  # witness kept for the pool even on the clipped branch
         g = problem.b.copy()
         value = float(problem.b @ y)
     D = problem.L * math.sqrt(n)
-    return value, subgrad_to_separation(y, g, D, eps), u
+    return value, subgrad_to_separation(g, D, eps), u
 
 
-def solve_dual(problem, eps_total=1e-2, seed=0, eig_backend="squaring"):
-    """Minimize f_K over the L-box; returns (y, value, witness list)."""
+def solve_dual(problem, eps_total=1e-2, seed=0):
+    """Minimize fK over the L-box; returns (y, value, witness list)."""
     n = problem.ncons
     witnesses = []
     eig_eps = eps_total / 10.0
@@ -156,8 +143,7 @@ def solve_dual(problem, eps_total=1e-2, seed=0, eig_backend="squaring"):
     def fn(y):
         counter[0] += 1
         value, resp, u = fK_separation(y, problem, eig_eps,
-                                       seed=seed + counter[0],
-                                       eig_backend=eig_backend)
+                                       seed=seed + counter[0])
         witnesses.append(u)
         return value, resp
 
@@ -169,7 +155,7 @@ def solve_dual(problem, eps_total=1e-2, seed=0, eig_backend="squaring"):
     return res.best_x, res.best_value, witnesses, res
 
 
-def recover_primal(problem, witnesses, eps=1e-2, y_best=None):
+def recover_primal(problem, witnesses, y_best=None):
     """X = sum_j alpha_j v_j v_j^T maximizing the penalized primal
 
         g(alpha) = -L sum_i |b_i - sum_j alpha_j v_j^T A_i v_j|

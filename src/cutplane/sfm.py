@@ -27,7 +27,6 @@ import numpy as np
 from .convopt import OptimizeSpec, minimize
 from .core import CpmParams, run_feasibility, ThinCertificate
 from .errors import (
-    DegenerateInput,
     IterationCapExceeded,
     NoProgress,
     OutOfBox,
@@ -100,7 +99,7 @@ def lovasz_eval(f, x):
     if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
         raise OutOfBox("point leaves the unit cube")
     order = sorted(range(f.n), key=lambda i: (-x[i], i))
-    val, prev = 0.0, None
+    val = 0.0
     chain = []
     for pos, i in enumerate(order):
         chain.append(i)
@@ -186,44 +185,6 @@ class ArcSet:
         a = ArcSet(self.n)
         a.reach = self.reach.copy()
         return a
-
-
-@dataclass
-class Bounds:
-    upper: np.ndarray
-    lower: np.ndarray
-
-    @property
-    def N(self):
-        return float(max(np.max(self.upper), np.max(-self.lower)))
-
-
-def bounds_compute(f, arcs):
-    V = frozenset(range(f.n))
-    up = np.zeros(f.n)
-    lo = np.zeros(f.n)
-    for i in range(f.n):
-        R = frozenset(arcs.R(i))
-        Q = frozenset(arcs.Q(i))
-        up[i] = f(R) - f(R - {i})
-        lo[i] = f((V - Q) | {i}) - f(V - Q)
-    return Bounds(upper=up, lower=lo)
-
-
-def must_include(y):
-    y = np.asarray(y, float)
-    n = y.size
-    if np.all(y >= 0) or np.all(y <= 0):
-        raise DegenerateInput("point has one sign; use the shortcut")
-    return {i for i in range(n) if y[i] < -(n - 1) * np.max(y)}
-
-
-def must_exclude(y):
-    y = np.asarray(y, float)
-    n = y.size
-    if np.all(y >= 0) or np.all(y <= 0):
-        raise DegenerateInput("point has one sign; use the shortcut")
-    return {i for i in range(n) if y[i] > -(n - 1) * np.min(y)}
 
 
 def sandwich_pick(h, hp, lam):
@@ -667,9 +628,9 @@ def _fact_from_certificate(fr, arcs, cert):
     sign = degenerate_shortcut(y)
     if sign:
         raise _DegenerateBfs(sign)
-    # note: the one-sided inclusion/exclusion tests are about unrestricted
-    # minimizers, which a ring-family restriction can break, so the driver
-    # does not use them; arc deduction is restriction-aware
+    # no one-sided inclusion/exclusion test here: those are about
+    # unrestricted minimizers, which a ring-family restriction can break;
+    # arc deduction is restriction-aware
 
     yF = sum(l[0] * l[2].h for l in lambdas if l[1] == 0)
     yFp = sum(l[0] * l[2].h for l in lambdas if l[1] == 1)

@@ -1,5 +1,5 @@
 import warnings
 
-# the practical profile warns (rather than raises) when centering starts
-# slightly off-center after a fresh cut; that is routine, not a test signal
+# centering warns when it starts slightly off-center after a fresh cut;
+# that is routine, not a test signal
 warnings.filterwarnings("ignore", message="centering entered")

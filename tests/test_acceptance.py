@@ -437,7 +437,7 @@ def _affine_max_oracle(n, seed):
     def fn(x):
         vals = slopes @ x + offsets
         j = int(np.argmax(vals))
-        return float(vals[j]), subgrad_to_separation(x, slopes[j], D, 0.0)
+        return float(vals[j]), subgrad_to_separation(slopes[j], D, 0.0)
 
     return fn
 

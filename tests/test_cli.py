@@ -163,15 +163,63 @@ def test_env_seed_fallback(specs):
     assert r1.stdout == r2.stdout
 
 
-def test_bench_writes_csv(specs, tmp_path):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    (corpus / "a.json").write_text(json.dumps(
-        {"command": "sfm", "type": "cut", "n": 3,
-         "edges": [[0, 1, 1], [1, 2, 2]]}))
-    out_csv = str(tmp_path / "bench.csv")
-    r = run_cli(["bench", "--corpus", str(corpus), "--out", out_csv])
-    assert r.returncode == 0, r.stderr
-    rows = open(out_csv).read().splitlines()
-    assert rows[0] == "instance,n,oracle_calls,wall_ms,verdict"
-    assert rows[1].startswith("a.json,3,")
+def _assert_input_error(r):
+    assert r.returncode == 3, (r.returncode, r.stderr)
+    assert json.loads(r.stderr)["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["feas", "--spec", "SPEC", "--bogus"],          # unknown flag
+    ["feas"],                                        # missing --spec
+    ["feas", "--spec", "SPEC", "--profile", "theoretical"],
+    ["bench", "--corpus", "DIR", "--out", "DIR"],   # no such subcommand
+    ["feas", "--spec", "SPEC", "--seed", "x"],
+    [],
+])
+def test_usage_errors_exit_3(specs, tmp_path, args):
+    path = specs("ok.json", {
+        "n": 2, "set": {"type": "box", "center": [0.2, 0.2], "radius": 0.1},
+    })
+    fill = {"SPEC": path, "DIR": str(tmp_path)}
+    _assert_input_error(run_cli([fill.get(a, a) for a in args]))
+
+
+def test_non_integer_env_seed_is_input_error(specs):
+    path = specs("box5.json", {
+        "n": 2, "set": {"type": "box", "center": [0.2, 0.2], "radius": 0.1},
+    })
+    _assert_input_error(run_cli(["feas", "--spec", path],
+                                env_extra={"CUTPLANE_SEED": "x"}))
+
+
+def test_non_numeric_spec_value_is_input_error(specs):
+    path = specs("box6.json", {
+        "n": "x", "set": {"type": "box", "center": [0.2, 0.2], "radius": 0.1},
+    })
+    r = run_cli(["feas", "--spec", path])
+    _assert_input_error(r)
+    assert "'n'" in json.loads(r.stderr)["error"]
+
+
+@pytest.mark.parametrize("body", [
+    {"type": "box", "center": [0.3], "radius": 0.1},
+    {"type": "box", "center": [0.3, 0.3, 0.3], "radius": 0.1},
+    {"type": "halfspaces", "A": [[1.0, 0.0], [0.0]], "b": [0.5, 0.5]},
+    {"type": "halfspaces", "A": [[1.0, 0.0, 0.0]], "b": [0.5]},
+    {"type": "halfspaces", "A": [[1.0, 0.0]], "b": [0.5, 0.5]},
+])
+def test_feas_rejects_set_of_wrong_dimension(specs, body):
+    path = specs("dim.json", {"n": 2, "set": body})
+    r = run_cli(["feas", "--spec", path])
+    _assert_input_error(r)
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("slopes, offsets", [
+    ([[1.0, 0.0, 0.0]], [0.0]),
+    ([[1.0, 0.0]], [0.0, 1.0]),
+])
+def test_opt_rejects_affine_pieces_of_wrong_dimension(specs, slopes, offsets):
+    path = specs("opt.json", {"type": "affine_max", "n": 2,
+                              "slopes": slopes, "offsets": offsets})
+    _assert_input_error(run_cli(["opt", "--spec", path]))

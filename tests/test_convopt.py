@@ -4,13 +4,16 @@ from cutplane.convopt import OptimizeSpec, feasibility_eps, minimize
 from cutplane.oracles import FunctionOracle, Halfspace, NearOptimal, subgrad_to_separation
 
 
-def quadratic_oracle(center, D):
+def quadratic_oracle(center, D, queries=None):
+    """FunctionOracle for ||x - center||^2; appends (x, value) to queries."""
     center = np.asarray(center, float)
 
     def fn(x):
         g = 2.0 * (x - center)
         val = float((x - center) @ (x - center))
-        return val, subgrad_to_separation(x, g, D, delta=0.0)
+        if queries is not None:
+            queries.append((x.copy(), val))
+        return val, subgrad_to_separation(g, D, delta=0.0)
 
     return FunctionOracle(fn)
 
@@ -25,21 +28,23 @@ def test_minimizes_quadratic():
 
 
 def test_returns_best_queried_point():
-    fo = quadratic_oracle([0.2, -0.1], D=1.0)
+    queries = []
+    fo = quadratic_oracle([0.2, -0.1], D=1.0, queries=queries)
     res = minimize(OptimizeSpec(oracle=fo, n=2, R=1.0, alpha=0.05))
-    vals = [v for _, v in fo.log]
+    vals = [v for _, v in queries]
     assert res.best_value == min(vals)
     # the answer is literally one of the queried points
-    hits = [np.array_equal(res.best_x, x) for x, _ in fo.log]
+    hits = [np.array_equal(res.best_x, x) for x, _ in queries]
     assert any(hits)
 
 
 def test_best_value_monotone_in_call_index():
-    fo = quadratic_oracle([0.1, 0.25, -0.3], D=1.0)
-    res = minimize(OptimizeSpec(oracle=fo, n=3, R=1.0, alpha=0.02))
+    queries = []
+    fo = quadratic_oracle([0.1, 0.25, -0.3], D=1.0, queries=queries)
+    minimize(OptimizeSpec(oracle=fo, n=3, R=1.0, alpha=0.02))
     best = float("inf")
     running = []
-    for _, v in fo.log:
+    for _, v in queries:
         best = min(best, v)
         running.append(best)
     assert all(a >= b for a, b in zip(running, running[1:]))

@@ -22,8 +22,6 @@ def test_params_ordering_enforced():
         CpmParams(c_a=0.01, c_d=0.1, c_e=0.001, lam=1.0, R=1.0, eps=1e-4)
     p = CpmParams.practical(8)
     assert p.c_e <= p.c_d <= p.c_a
-    t = CpmParams.theoretical(8)
-    assert t.c_a ** 1.5 <= t.c_d / 1e3 * (1 + 1e-9)
 
 
 def test_initial_state_centered():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cutplane import linalg
 from cutplane.errors import NotPositiveDefinite
-from oracles_gaussjordan import gauss_jordan_inverse, reference_leverage
+from oracles_gaussjordan import reference_leverage
 
 
 def random_instance(rng, m, n):
@@ -40,27 +40,6 @@ def test_cholesky_jitter_rescues_semidefinite():
     assert np.all(np.isfinite(L))
 
 
-def test_solve_pd_residual():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        n = int(rng.integers(1, 20))
-        B = rng.standard_normal((n + 3, n))
-        M = B.T @ B + 1e-3 * np.eye(n)
-        b = rng.standard_normal(n)
-        x = linalg.solve_pd(M, b)
-        assert np.linalg.norm(M @ x - b) <= 1e-6 * max(np.linalg.norm(b), 1e-300)
-
-
-def test_solve_pd_matches_gauss_jordan():
-    rng = np.random.default_rng(2)
-    n = 8
-    B = rng.standard_normal((n + 2, n))
-    M = B.T @ B + 0.5 * np.eye(n)
-    b = rng.standard_normal(n)
-    assert np.allclose(linalg.solve_pd(M, b), gauss_jordan_inverse(M) @ b,
-                       atol=1e-8)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 50), st.integers(1, 20))
 def test_leverage_range_and_sum(seed, m, n):
@@ -90,16 +69,6 @@ def test_leverage_permutation_equivariant():
     psi = linalg.leverage_exact(A, s, lam)
     psi_p = linalg.leverage_exact(A[perm], s[perm], lam)
     assert np.allclose(psi_p, psi[perm], atol=1e-12)
-
-
-def test_quadratic_form_agrees_with_inverse():
-    rng = np.random.default_rng(5)
-    A, s, lam = random_instance(rng, 10, 4)
-    lam = max(lam, 0.1)
-    v = rng.standard_normal(4)
-    G = linalg.gram_matrix(A, s, lam)
-    want = v @ gauss_jordan_inverse(G) @ v
-    assert abs(linalg.quadratic_form(A, s, lam, v) - want) < 1e-9
 
 
 def test_logdet_pd():

@@ -46,15 +46,6 @@ def test_halfspace_set_oracle():
     assert np.allclose(r.c, [1.0, 0.0])
 
 
-def test_function_oracle_logs_queries():
-    fo = oracles.FunctionOracle(lambda x: (float(x @ x), NearOptimal()))
-    fo.query([1.0, 2.0])
-    fo.query([0.0, 0.0])
-    assert fo.calls == 2
-    assert len(fo.log) == 2
-    assert fo.log[0][1] == 5.0
-
-
 def test_subgrad_separation_contains_level_set():
     # f(y) = ||y||^2 on the ball of radius D; any point with f(y) <= f(x)
     # must satisfy the returned halfspace
@@ -63,7 +54,7 @@ def test_subgrad_separation_contains_level_set():
     for _ in range(50):
         x = rng.uniform(-1.5, 1.5, size=3)
         g = 2.0 * x
-        r = oracles.subgrad_to_separation(x, g, D, delta=0.0)
+        r = oracles.subgrad_to_separation(g, D, delta=0.0)
         if isinstance(r, NearOptimal):
             continue
         fx = x @ x
@@ -74,7 +65,7 @@ def test_subgrad_separation_contains_level_set():
 
 
 def test_subgrad_small_gradient_is_near_optimal():
-    r = oracles.subgrad_to_separation(np.zeros(2), np.zeros(2), D=1.0, delta=0.01)
+    r = oracles.subgrad_to_separation(np.zeros(2), D=1.0, delta=0.01)
     assert isinstance(r, NearOptimal)
     assert r.eta == pytest.approx(2 * np.sqrt(0.01))
 

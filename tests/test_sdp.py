@@ -72,14 +72,6 @@ def test_max_eigvec_monotone_in_eps():
         prev = val
 
 
-def test_backends_agree():
-    prob = random_problem(5)
-    y0 = np.zeros(prob.ncons)
-    a = sdp.f_K(prob, y0, eig_backend="squaring")
-    b = sdp.f_K(prob, y0, eig_backend="jacobi")
-    assert abs(a - b) < 1e-5
-
-
 def test_scalar_problem_reproduces_lambda_max():
     # one 1x1 constraint forcing y = 0 leaves b^T y + K lambda_max(C)^+
     C = np.array([[2.0, 1.0], [1.0, -1.0]])

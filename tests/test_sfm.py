@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cutplane import sfm
-from cutplane.errors import DegenerateInput, OutOfBox
+from cutplane.errors import OutOfBox
 
 
 def all_subsets(n):
@@ -128,11 +128,21 @@ def test_arcset_transitive_closure():
 
 
 def test_bounds_envelope_contains_ring_bfs():
+    # an arc-consistent BFS coordinate h_i is a marginal f(S + i) - f(S)
+    # with R(i) - i inside S and S inside V - Q(i); submodularity puts it
+    # between the marginal at V - Q(i) and the marginal at R(i) - i
+    V = frozenset(range(5))
     for seed in range(4):
         f = cut_minus_modular(5, seed + 10)
         arcs = sfm.ArcSet(5)
         arcs.add(0, 1)
-        bounds = sfm.bounds_compute(f, arcs)
+        upper = np.zeros(5)
+        lower = np.zeros(5)
+        for i in range(5):
+            R = frozenset(arcs.R(i))
+            Q = frozenset(arcs.Q(i))
+            upper[i] = f(R) - f(R - {i})
+            lower[i] = f((V - Q) | {i}) - f(V - Q)
         rng = np.random.default_rng(seed)
         for _ in range(10):
             x = rng.uniform(0, 1, size=5)
@@ -140,8 +150,8 @@ def test_bounds_envelope_contains_ring_bfs():
             if resp.meta[0] != "bfs":
                 continue
             h = resp.meta[1].h
-            assert np.all(h <= bounds.upper + 1e-9)
-            assert np.all(h >= bounds.lower - 1e-9)
+            assert np.all(h <= upper + 1e-9)
+            assert np.all(h >= lower - 1e-9)
 
 
 def test_ring_oracle_respects_arcs():
@@ -161,15 +171,6 @@ def test_ring_oracle_facets_out_of_box():
     assert r.meta == ("lo", 0)
     r = sfm.ring_oracle(f, None, np.array([0.5, 1.2, 0.5, 0.5]))
     assert r.meta == ("hi", 1)
-
-
-def test_must_include_exclude():
-    y = np.array([-10.0, 0.1, 0.2])
-    assert 0 in sfm.must_include(y)
-    y2 = np.array([10.0, -0.1, -0.2])
-    assert 0 in sfm.must_exclude(y2)
-    with pytest.raises(DegenerateInput):
-        sfm.must_include(np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
