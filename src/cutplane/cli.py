@@ -80,8 +80,11 @@ def load_function(d, path="<spec>"):
         n = d.get("n", 1 + max(max(u, v) for u, v, _ in edges))
         return sfm.cut_function(n, edges)
     if kind == "table":
-        n = _require(d, "n", path)
-        return sfm.table_function(n, _require(d, "values", path))
+        n = _field(d, "n", path, int)
+        try:
+            return sfm.table_function(n, _require(d, "values", path))
+        except ValueError as e:
+            raise InputError("%s in %s" % (e, path))
     if kind == "coverage":
         sets = _require(d, "sets", path)
         return sfm.coverage_function(len(sets), sets, _require(d, "weights", path))
@@ -196,7 +199,7 @@ def cmd_matroid(args):
     spec = _load_json(args.spec)
     m1 = load_matroid(_require(spec, "m1", args.spec), args.spec)
     m2 = load_matroid(_require(spec, "m2", args.spec), args.spec)
-    weights = np.asarray(_require(spec, "weights", args.spec))
+    weights = _field(spec, "weights", args.spec, _floats)
     Mbound = spec.get("Mbound", int(np.max(np.abs(weights))) + 1)
     try:
         S = intersect.matroid_intersection(m1, m2, weights, Mbound,

@@ -10,12 +10,12 @@ where e = tau - psi(x) is the error of the maintained leverage estimates.
 The solver keeps a polytope A x >= b around the target set, recenters with
 damped Newton steps against an approximate Hessian, and adds shifted oracle
 cuts or drops constraints whose leverage has decayed.  Leverage scores are
-computed exactly at every size.  Termination is either a point of the target
-set or a certificate that the polytope is thin.
+computed exactly at every size, once per point; CpmState keeps them with the
+slacks and Gram factors for every step and update at that point.
+Termination is a point of the target set or a thin-polytope certificate.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     SlackNonpositive,
 )
-from .linalg import cholesky_jittered, leverage_exact, logdet_pd
+from .linalg import cholesky_jittered, leverage_exact
 from .oracles import Halfspace, Inside
 
 
@@ -60,10 +60,31 @@ class CpmState:
     params: CpmParams
     origin: list = field(default_factory=list)  # "box" | "cut" per row
     k: int = 0
+    entry_misses: int = 0      # see centering
+    max_entry_ratio: float = 0.0
+    _at: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
+    _point: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def point(self):
+        """(s, B, L, Linv, psi) at the current point, from one leverage solve.
+
+        Kept until x, A or b is reassigned.  Nothing in the package or its
+        tests writes into those arrays in place, so an identity check on the
+        three of them is enough to tell when the kept values are stale.
+        """
+        at = (self.A, self.b, self.x)
+        if any(u is not v for u, v in zip(at, self._at)):
+            s = self.A @ self.x - self.b
+            if np.min(s) <= 0:
+                raise SlackNonpositive("min slack %g at m=%d" % (np.min(s), self.m))
+            psi, B, L, Linv = leverage_exact(self.A, s, self.params.lam)
+            psi.flags.writeable = False
+            self._at, self._point = at, (s, B, L, Linv, psi)
+        return self._point
 
     @property
     def s(self):
-        return self.A @ self.x - self.b
+        return self.point()[0]
 
     @property
     def m(self):
@@ -73,18 +94,13 @@ class CpmState:
     def n(self):
         return self.A.shape[1]
 
-    def check_slack(self):
-        s = self.s
-        if np.min(s) <= 0:
-            raise SlackNonpositive("min slack %g at m=%d" % (np.min(s), self.m))
-        return s
-
     def psi(self):
-        return leverage_exact(self.A, self.check_slack(), self.params.lam)
+        return self.point()[4]
 
     def copy(self):
         return CpmState(self.A.copy(), self.b.copy(), self.x.copy(),
-                        self.tau.copy(), self.params, list(self.origin), self.k)
+                        self.tau.copy(), self.params, list(self.origin), self.k,
+                        self.entry_misses, self.max_entry_ratio)
 
 
 def initial_state(n, params):
@@ -93,26 +109,15 @@ def initial_state(n, params):
     b = -params.R * np.ones(2 * n)
     st = CpmState(A, b, np.zeros(n), np.zeros(2 * n), params,
                   origin=["box"] * (2 * n))
-    st.tau = st.psi()
+    st.tau = st.psi().copy()
     return st
 
 
-def _gram_chol(st, s=None):
-    s = st.check_slack() if s is None else s
-    B = st.A / s[:, None]
-    G = B.T @ B + st.params.lam * np.eye(st.n)
-    L, _ = cholesky_jittered(G)
-    return B, L
-
-
-def potential(st, psi=None):
-    s = st.check_slack()
-    psi = st.psi() if psi is None else psi
+def potential(st):
+    s, _, L, _, psi = st.point()
     e = st.tau - psi
-    B = st.A / s[:, None]
-    G = B.T @ B + st.params.lam * np.eye(st.n)
     return (-np.sum((st.params.c_e + e) * np.log(s))
-            + 0.5 * logdet_pd(G)
+            + float(np.sum(np.log(np.diag(L))))
             + 0.5 * st.params.lam * float(st.x @ st.x))
 
 
@@ -120,22 +125,20 @@ def gradient(st):
     """Gradient of the potential at (x, tau) with e = tau - psi(x) frozen.
 
     The log det term's gradient is -A_x^T psi, which cancels against the
-    psi hidden inside e, leaving only tau.  No leverage solve needed.
+    psi hidden inside e, leaving only tau.  Reads the kept slacks.
     """
-    s = st.check_slack()
+    s = st.s
     return -st.A.T @ ((st.params.c_e + st.tau) / s) + st.params.lam * st.x
 
 
-def hessian_weights(st, w):
-    """Q(x, w) = A_x^T (c_e I + W) A_x + lam I."""
-    s = st.check_slack()
-    B = st.A / s[:, None]
-    return B.T @ ((st.params.c_e + w)[:, None] * B) + st.params.lam * np.eye(st.n)
+def hessian_weights(st):
+    """Q(x, psi) = A_x^T (c_e I + Psi) A_x + lam I at the kept point."""
+    _, B, _, _, psi = st.point()
+    return B.T @ ((st.params.c_e + psi)[:, None] * B) + st.params.lam * np.eye(st.n)
 
 
-def centrality(st, psi=None):
-    psi = st.psi() if psi is None else psi
-    H = hessian_weights(st, psi)
+def centrality(st):
+    H = hessian_weights(st)
     g = gradient(st)
     L, _ = cholesky_jittered(H)
     y = np.linalg.solve(L, g)
@@ -146,26 +149,28 @@ def centering(st, r=200, full_steps=False, exit_floor=None):
     """Damped Newton recentering with a frozen approximate Hessian.
 
     Runs r steps x <- x - (1/8) Q^-1 grad, updating tau after each step by
-    the exact leverage change so e stays put.  Unless full_steps is set,
-    stops early once the centrality is far below the entry threshold of
-    every downstream consumer.
+    the exact leverage change so e stays put.  Q is factored and its factor
+    inverted once, so a step costs two matrix-vector products and the
+    leverage solve at the new point.  Unless full_steps is set, stops early
+    once the centrality is far below the entry threshold of every
+    downstream consumer.  An entry with ||e||_inf above c_e/3 or a
+    centrality above the entry threshold counts in st.entry_misses, and
+    st.max_entry_ratio keeps the largest ratio of either to its threshold.
     """
     p = st.params
     psi0 = st.psi()
-    e0 = st.tau - psi0
-    if np.max(np.abs(e0)) > p.c_e / 3 + 1e-12:
-        warnings.warn("centering entered with ||e||_inf = %g > c_e/3"
-                      % np.max(np.abs(e0)))
     # Q is the Hessian at entry, so the first Newton solve is also the
     # entry centrality
-    Q = hessian_weights(st, psi0)
-    LQ, _ = cholesky_jittered(Q)
-    z = np.linalg.solve(LQ, gradient(st))
+    LQ, _ = cholesky_jittered(hessian_weights(st))
+    LQinv = np.linalg.inv(LQ)
+    z = LQinv @ gradient(st)
     delta0 = float(np.sqrt(z @ z))
     thresh = 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
-    if delta0 > thresh * (1 + 1e-9):
-        warnings.warn("centering entered with centrality %g > %g"
-                      % (delta0, thresh))
+    e0 = float(np.max(np.abs(st.tau - psi0)))
+    if e0 > p.c_e / 3 + 1e-12 or delta0 > thresh * (1 + 1e-9):
+        st.entry_misses += 1
+    st.max_entry_ratio = max(st.max_entry_ratio, e0 / (p.c_e / 3),
+                             delta0 / thresh)
     if exit_floor is None:
         exit_floor = 0.3 * 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
 
@@ -175,16 +180,12 @@ def centering(st, r=200, full_steps=False, exit_floor=None):
             # centrality in the frozen-Q metric; Q tracks the true Hessian
             # closely enough for a stop test
             break
-        st.x = st.x - np.linalg.solve(LQ.T, z) / 8.0
+        st.x = st.x - (LQinv.T @ z) / 8.0
         psi_new = st.psi()
         st.tau = st.tau + (psi_new - psi_prev)
         psi_prev = psi_new
-        z = np.linalg.solve(LQ, gradient(st))
+        z = LQinv @ gradient(st)
     return st
-
-
-def select_refresh_index(st, w):
-    return int(np.argmax(np.abs(np.asarray(w) - st.tau)))
 
 
 def add_cut(st, a):
@@ -197,14 +198,12 @@ def add_cut(st, a):
     if abs(np.linalg.norm(a) - 1.0) > 1e-9:
         raise NotUnitVector("cut direction must be unit norm")
     p = st.params
-    s = st.check_slack()
-    B, L = _gram_chol(st, s)
-    w = np.linalg.solve(L, a)
+    _, B, _, Linv, _ = st.point()
+    w = Linv @ a
     s_new = math.sqrt(float(w @ w) / p.c_a)
     psi_a = p.c_a  # by construction
 
-    Ginv_a = np.linalg.solve(L.T, np.linalg.solve(L, a / s_new))
-    u = B @ Ginv_a  # m-vector of cross terms
+    u = B @ (Linv.T @ (w / s_new))  # m-vector of cross terms
     tau_new = st.tau - (u * u) / (1.0 + psi_a)
     st.A = np.vstack([st.A, a])
     st.b = np.append(st.b, a @ st.x - s_new)
@@ -216,22 +215,18 @@ def add_cut(st, a):
     return st
 
 
-def remove_cut(st, i, w=None):
-    """Drop row i (which must carry the minimum estimate) and patch tau."""
-    w = st.tau if w is None else np.asarray(w)
+def remove_cut(st, i, w):
+    """Drop row i (which must carry the minimum of w) and patch tau."""
     if i != int(np.argmin(w)):
         raise PreconditionViolated("row %d is not the argmin of w" % i)
-    psi = st.psi()
+    _, B, _, Linv, psi = st.point()
     psi_d = float(psi[i])
     mu_x = float(np.min(psi))
     if not (psi_d <= 1.1 * mu_x + 1e-12 and 1.1 * mu_x <= 0.1 + 1e-12):
         raise PreconditionViolated(
             "removal needs psi_i <= 1.1 mu <= 0.1 (psi_i=%g, mu=%g)" % (psi_d, mu_x))
 
-    s = st.check_slack()
-    B, L = _gram_chol(st, s)
-    Ginv_a = np.linalg.solve(L.T, np.linalg.solve(L, st.A[i] / s[i]))
-    u = B @ Ginv_a
+    u = B @ (Linv.T @ (Linv @ B[i]))
     tau_new = st.tau + (u * u) / (1.0 - psi_d)
     keep = np.arange(st.m) != i
     st.A = st.A[keep]
@@ -247,6 +242,8 @@ class Found:
     iterations: int = 0
     oracle_calls: int = 0
     trace: list = field(default_factory=list)
+    entry_misses: int = 0      # see centering
+    max_entry_ratio: float = 0.0
 
 
 @dataclass
@@ -263,6 +260,8 @@ class ThinCertificate:
     iterations: int = 0
     oracle_calls: int = 0
     trace: list = field(default_factory=list)
+    entry_misses: int = 0
+    max_entry_ratio: float = 0.0
 
     def declared_residual_bound(self, params, n):
         return 8.0 * math.sqrt(n) * params.eps / (params.c_a * params.c_e * params.R)
@@ -278,7 +277,7 @@ def certificate(st):
     p = st.params
     burst = int(math.ceil(64.0 * math.log(2.0 * p.R / p.eps)))
     centering(st, r=burst, exit_floor=1e-14)
-    s = st.check_slack()
+    s = st.s
     i = int(np.argmin(s))
     t = (s[i] / s) * (p.c_e + st.tau) / (p.c_e + st.tau[i])
     t[i] = 0.0
@@ -289,6 +288,7 @@ def certificate(st):
         slack_combination=float(t @ s),
         min_slack=float(s[i]),
         origins=[o[1] if isinstance(o, tuple) else o for o in st.origin],
+        entry_misses=st.entry_misses, max_entry_ratio=st.max_entry_ratio,
     )
 
 
@@ -309,8 +309,7 @@ def run_feasibility(oracle, n, params=None, trace=None):
 
     for k in range(1, cap + 1):
         st.k = k
-        s = st.check_slack()
-        if np.min(s) < p.eps:
+        if np.min(st.s) < p.eps:
             cert = certificate(st)
             cert.iterations = k
             cert.oracle_calls = oracle.calls
@@ -318,7 +317,7 @@ def run_feasibility(oracle, n, params=None, trace=None):
             return cert
 
         w = st.psi()
-        i_star = select_refresh_index(st, w)
+        i_star = int(np.argmax(np.abs(w - st.tau)))
         st.tau[i_star] = w[i_star]
 
         if float(np.min(w)) <= p.c_d and st.m > st.n + 1:
@@ -329,7 +328,9 @@ def run_feasibility(oracle, n, params=None, trace=None):
             resp = oracle.query(st.x)
             if isinstance(resp, Inside):
                 return Found(st.x.copy(), iterations=k,
-                             oracle_calls=oracle.calls, trace=records)
+                             oracle_calls=oracle.calls, trace=records,
+                             entry_misses=st.entry_misses,
+                             max_entry_ratio=st.max_entry_ratio)
             if not isinstance(resp, Halfspace):
                 raise PreconditionViolated("oracle returned %r" % (resp,))
             add_cut(st, -resp.c)
@@ -339,11 +340,10 @@ def run_feasibility(oracle, n, params=None, trace=None):
 
         centering(st)
         if trace is not None:
-            psi_now = st.psi()
             trace.append({
-                "k": k, "m": st.m, "potential": potential(st, psi_now),
+                "k": k, "m": st.m, "potential": potential(st),
                 "min_slack": float(np.min(st.s)),
-                "centrality": centrality(st, psi_now), "action": action,
+                "centrality": centrality(st), "action": action,
                 "oracle_calls": oracle.calls,
             })
 

@@ -2,10 +2,11 @@
 
 The only factorization in play is Cholesky.  When a matrix that should be
 positive definite is numerically on the fence we add an escalating diagonal
-jitter rather than give up; genuinely indefinite input still raises.
+jitter rather than give up; genuinely indefinite input still raises.  The
+leverage kernel inverts its factor explicitly, so that a solve is a product.
 
 All arithmetic is float64.  Tolerances are explicit, there is no bit
-complexity model here.
+complexity model here.  numpy is the only run-time dependency.
 """
 
 import numpy as np
@@ -43,22 +44,18 @@ def cholesky_jittered(M):
 def leverage_exact(A, s, lam):
     """Regularized leverage scores psi_i = (a_i/s_i)^T G^-1 (a_i/s_i).
 
-    G = A^T S^-2 A + lambda I.  Computed via n solves against G (the factor
-    is reused), never an explicit inverse.
+    G = B^T B + lambda I with the scaled rows B = A/s.  Returns
+    (psi, B, L, Linv): L is the jittered lower Cholesky factor of G and
+    Linv its explicit inverse, so G^-1 = Linv^T Linv and psi holds the
+    squared row norms of the one product B Linv^T.  Callers keep B, L and
+    Linv for the rank-one updates and Newton steps at the same point.
     """
     A = np.asarray(A, dtype=float)
     s = np.asarray(s, dtype=float)
-    As = A / s[:, None]
-    G = As.T @ As + lam * np.eye(A.shape[1])
-    L, _ = cholesky_jittered(G)
-    # psi_i = || L^-1 (a_i/s_i) ||^2, row-wise
-    W = np.linalg.solve(L, As.T)  # n x m
-    psi = np.einsum("ij,ij->j", W, W)
+    B = A / s[:, None]
+    L, _ = cholesky_jittered(B.T @ B + lam * np.eye(A.shape[1]))
+    Linv = np.linalg.inv(L)
+    W = B @ Linv.T
     # clamp tiny float drift back into [0, 1]
-    return np.clip(psi, 0.0, 1.0)
-
-
-def logdet_pd(M):
-    """log det of a symmetric PD matrix via its Cholesky factor."""
-    L, _ = cholesky_jittered(M)
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    psi = np.clip(np.sum(W * W, axis=1), 0.0, 1.0)
+    return psi, B, L, Linv

@@ -279,7 +279,7 @@ def test_criterion_07_rank_one_bookkeeping():
             a = rng.standard_normal(6)
             core.add_cut(st, a / np.linalg.norm(a))
         mutations += 1
-        exact = linalg.leverage_exact(st.A, st.s, st.params.lam)
+        exact = linalg.leverage_exact(st.A, st.s, st.params.lam)[0]
         assert np.max(np.abs(st.tau - exact)) <= 1e-8, \
             "tau drifted at mutation %d" % mutations
         core.centering(st, exit_floor=1e-12)

@@ -175,13 +175,33 @@ def _assert_input_error(r):
     ["bench", "--corpus", "DIR", "--out", "DIR"],   # no such subcommand
     ["feas", "--spec", "SPEC", "--seed", "x"],
     [],
+    ["sfm", "--spec", "TABLE_N"],                    # non-integer n
+    ["sfm", "--spec", "TABLE_LEN"],                  # 3 values for n = 2
+    ["matroid", "--spec", "WEIGHTS"],                # non-numeric weight
 ])
 def test_usage_errors_exit_3(specs, tmp_path, args):
-    path = specs("ok.json", {
-        "n": 2, "set": {"type": "box", "center": [0.2, 0.2], "radius": 0.1},
-    })
-    fill = {"SPEC": path, "DIR": str(tmp_path)}
+    fill = {"DIR": str(tmp_path)}
+    for name, spec in {
+        "SPEC": {"n": 2, "set": {"type": "box", "center": [0.2, 0.2],
+                                 "radius": 0.1}},
+        "TABLE_N": {"type": "table", "n": "x", "values": [0, 1]},
+        "TABLE_LEN": {"type": "table", "n": 2, "values": [0, 1, 1]},
+        "WEIGHTS": {"m1": {"type": "uniform", "rank": 1, "n": 2},
+                    "m2": {"type": "free", "n": 2}, "weights": ["a", 2]},
+    }.items():
+        fill[name] = specs(name + ".json", spec)
     _assert_input_error(run_cli([fill.get(a, a) for a in args]))
+
+
+def test_opt_writes_only_json_to_stderr(specs):
+    path = specs("opt2.json", {"type": "affine_max", "n": 2,
+                               "slopes": [[1.0, 0.5], [-1.0, 0.25]],
+                               "offsets": [0.0, 0.1]})
+    r = run_cli(["opt", "--spec", path])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["oracle_calls"] > 0
+    for line in r.stderr.splitlines():
+        json.loads(line)
 
 
 def test_non_integer_env_seed_is_input_error(specs):

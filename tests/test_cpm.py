@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +10,8 @@ from cutplane.core import (
     run_feasibility,
 )
 from cutplane.errors import NotUnitVector, PreconditionViolated
-from cutplane.linalg import leverage_exact, logdet_pd
+from cutplane.linalg import leverage_exact
 from cutplane.oracles import box_oracle, halfspace_set_oracle
-
-warnings.filterwarnings("ignore", message="centering entered")
 
 
 def test_params_ordering_enforced():
@@ -59,9 +56,11 @@ def test_gradient_matches_finite_differences():
             s = st.A @ x - st.b
             B = st.A / s[:, None]
             G = B.T @ B + p.lam * np.eye(st.n)
-            return (-np.sum((p.c_e + e0) * np.log(s)) + 0.5 * logdet_pd(G)
+            return (-np.sum((p.c_e + e0) * np.log(s))
+                    + 0.5 * np.linalg.slogdet(G)[1]
                     + 0.5 * p.lam * float(x @ x))
 
+        assert abs(potential(st) - pot_frozen(st.x)) <= 1e-9
         g = gradient(st)
         h = 1e-6
         for i in range(st.n):
@@ -76,7 +75,7 @@ def test_add_cut_leverage_is_ca_and_tau_tracks():
         st, rng = _grown_state(seed, n=5, cuts=2)
         a = _rand_unit(rng, 5)
         add_cut(st, a)
-        psi = leverage_exact(st.A, st.s, st.params.lam)
+        psi = leverage_exact(st.A, st.s, st.params.lam)[0]
         # leverage c_a against the pre-add Gram matrix turns into
         # c_a/(1+c_a) once the row itself joins the system
         ca = st.params.c_a
@@ -116,7 +115,7 @@ def test_rank_one_bookkeeping_random_mutations():
                 continue
             remove_cut(st, i, w)
         mutations += 1
-        psi = leverage_exact(st.A, st.s, st.params.lam)
+        psi = leverage_exact(st.A, st.s, st.params.lam)[0]
         assert np.max(np.abs(st.tau - psi)) < 1e-8
         centering(st, exit_floor=1e-12)
         st.tau = st.psi()
@@ -220,3 +219,87 @@ def test_run_feasibility_found_above_fifty_dims():
     res = run_feasibility(box_oracle(c, 0.1), n)
     assert isinstance(res, Found)
     assert np.max(np.abs(res.x - c)) <= 0.1 + 1e-9
+
+
+def _assert_point_is_fresh(st):
+    s = st.A @ st.x - st.b
+    psi, B, L, Linv = leverage_exact(st.A, s, st.params.lam)
+    s_kept, B_kept, L_kept, Linv_kept, psi_kept = st.point()
+    assert np.array_equal(s_kept, s)
+    assert np.array_equal(B_kept, B)
+    assert np.array_equal(L_kept, L)
+    assert np.array_equal(Linv_kept, Linv)
+    assert np.array_equal(psi_kept, psi)
+
+
+def test_kept_point_refreshes_on_reassignment():
+    st, rng = _grown_state(2, n=4, cuts=4)
+    _assert_point_is_fresh(st)
+    add_cut(st, _rand_unit(rng, 4))
+    _assert_point_is_fresh(st)
+    centering(st, exit_floor=1e-12)
+    st.tau = st.psi().copy()
+    i = int(np.argmin(st.tau))
+    remove_cut(st, i, st.tau)
+    _assert_point_is_fresh(st)
+    st.x = st.x + 1e-3 * _rand_unit(rng, 4)
+    _assert_point_is_fresh(st)
+
+
+def _count_calls(monkeypatch, counts, name):
+    """Replace core.<name> by a wrapper that counts its calls in counts."""
+    fn = getattr(core, name)
+    counts[name] = 0
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(core, name, wrapper)
+
+
+def test_one_leverage_solve_per_point(monkeypatch):
+    # the initial box, each centering entry after a cut is added or
+    # dropped, and each Newton step are the distinct points of a solve
+    seen = []
+    counts = {}
+
+    def leverage_spy(A, s, lam):
+        seen.append((A.tobytes(), s.tobytes()))
+        return leverage_exact(A, s, lam)
+
+    monkeypatch.setattr(core, "leverage_exact", leverage_spy)
+    _count_calls(monkeypatch, counts, "centering")
+    _count_calls(monkeypatch, counts, "gradient")
+    res = run_feasibility(box_oracle(np.array([0.3, -0.2, 0.1]), 0.02), 3)
+    assert isinstance(res, Found)
+    # centering takes one gradient at entry and one after each Newton step
+    newton_steps = counts["gradient"] - counts["centering"]
+    assert counts["centering"] > 0 and newton_steps > 0
+    assert len(seen) == len(set(seen))
+    assert len(seen) == 1 + counts["centering"] + newton_steps
+
+
+def test_centering_counts_entry_misses():
+    st = initial_state(3, CpmParams.practical(3))
+    centering(st)
+    assert st.entry_misses == 0
+    assert st.max_entry_ratio < 1.0
+    # a fresh cut leaves the point off-center: a counted miss
+    add_cut(st, _rand_unit(np.random.default_rng(1), 3))
+    centering(st)
+    assert st.entry_misses == 1
+    assert st.max_entry_ratio > 1.0
+
+
+def test_results_report_entry_misses(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, calls, "centering")
+    found = run_feasibility(box_oracle(np.array([0.3, 0.3]), 0.02), 2)
+    cons = [(np.array([1.0, 0.0]), -0.1), (np.array([-1.0, 0.0]), -0.1)]
+    cert = run_feasibility(halfspace_set_oracle(cons), 2)
+    assert isinstance(found, Found) and isinstance(cert, ThinCertificate)
+    for res in (found, cert):
+        assert 0 < res.entry_misses
+        assert res.max_entry_ratio > 1.0
+    assert found.entry_misses + cert.entry_misses <= calls["centering"]

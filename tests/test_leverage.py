@@ -33,7 +33,7 @@ def test_sketch_leverage_close_to_exact():
         A = rng.standard_normal((m, n))
         s = rng.uniform(0.2, 2.0, size=m)
         lam = 0.3
-        exact = leverage_exact(A, s, lam)
+        exact = leverage_exact(A, s, lam)[0]
         cfg = leverage.SketchConfig(eps=0.1, seed=trial)
         approx = leverage.sketch_leverage(A, s, lam, cfg)
         # multiplicative JL-style accuracy, loose factor for finite k

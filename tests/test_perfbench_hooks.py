@@ -115,3 +115,19 @@ def test_workload_call_binds(callee, call):
         pytest.skip("call forwards *args or **kwargs")
     sig = inspect.signature(callee)
     sig.bind(*[None] * len(call.args), **{kw.arg: None for kw in call.keywords})
+
+
+def test_tracer_sees_the_leverage_kernel():
+    # the solver must reach the kernel and the factorization through the
+    # patched module globals, or these spans read 0 without failing
+    from cutplane.oracles import box_oracle
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        res = core.run_feasibility(box_oracle([0.3, -0.2], 0.05), 2)
+    finally:
+        tracer.uninstall()
+    assert isinstance(res, core.Found)
+    assert tracer.calls["core.run_feasibility"] == 1
+    assert tracer.calls["linalg.leverage_exact"] > 0
+    assert tracer.calls["linalg.cholesky_jittered"] > 0
