@@ -53,7 +53,7 @@ class _Adversary:
         raise ValueError("unknown adversary kind %r" % self.kind)
 
 
-def simulate(adversary, rounds, c, R, seed, m=None, check_budget=True):
+def simulate(adversary, rounds, c, R, seed, m=None):
     """Play the game and return the per-round sup norm trajectory.
 
     adversary: one of the built-in kind strings, or a callable
@@ -65,21 +65,21 @@ def simulate(adversary, rounds, c, R, seed, m=None, check_budget=True):
         if m is None:
             raise ValueError("m required with a named adversary")
         adv = _Adversary(adversary, m, c, rng).draw
-        check_budget = False
     else:
         if m is None:
             raise ValueError("m required with a callable adversary")
 
         def adv(x):
-            return np.asarray(adversary(x, rng), dtype=float)
+            delta = np.asarray(adversary(x, rng), dtype=float)
+            if np.linalg.norm(delta) > c + 1e-9:
+                raise BudgetViolated("adversary draw has l2 norm %g > c=%g"
+                                     % (np.linalg.norm(delta), c))
+            return delta
 
     x = np.zeros(m)
     sup = np.empty(rounds)
     for k in range(rounds):
         delta = adv(x)
-        if check_budget and np.linalg.norm(delta) > c + 1e-9:
-            raise BudgetViolated("adversary draw has l2 norm %g > c=%g"
-                                 % (np.linalg.norm(delta), c))
         noise = rng.uniform(-R, R, size=m)
         i = player_pick(x + noise)
         x += delta

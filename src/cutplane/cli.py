@@ -75,19 +75,24 @@ def _write_trace(path, records):
 
 def load_function(d, path="<spec>"):
     kind = _require(d, "type", path)
-    if kind == "cut":
-        edges = _require(d, "edges", path)
-        n = d.get("n", 1 + max(max(u, v) for u, v, _ in edges))
-        return sfm.cut_function(n, edges)
-    if kind == "table":
-        n = _field(d, "n", path, int)
-        try:
+    try:
+        if kind == "cut":
+            edges = _require(d, "edges", path)
+            if "n" in d or not edges:
+                n = _field(d, "n", path, int)
+            else:
+                n = 1 + max(max(e[:2]) for e in edges)
+            return sfm.cut_function(n, edges)
+        if kind == "table":
+            n = _field(d, "n", path, int)
             return sfm.table_function(n, _require(d, "values", path))
-        except ValueError as e:
-            raise InputError("%s in %s" % (e, path))
-    if kind == "coverage":
-        sets = _require(d, "sets", path)
-        return sfm.coverage_function(len(sets), sets, _require(d, "weights", path))
+        if kind == "coverage":
+            sets = _require(d, "sets", path)
+            return sfm.coverage_function(len(sets), sets,
+                                         _require(d, "weights", path))
+    except (TypeError, ValueError) as e:
+        # malformed edges, sets or weights
+        raise InputError("%s in %s" % (e, path))
     raise InputError("unknown function type %r in %s" % (kind, path))
 
 
@@ -229,9 +234,8 @@ def cmd_intersect(args):
     o1 = _load_opt_body(_require(spec, "body1", args.spec), args.spec)
     o2 = _load_opt_body(_require(spec, "body2", args.spec), args.spec)
     delta = _field(spec, "delta", args.spec, float, 1e-2)
-    lam, _ = intersect.schedule(M, delta)
     prob = intersect.IntersectProblem(c=c, oracle1=o1, oracle2=o2, M=M,
-                                      lam=lam, delta=delta)
+                                      lam=intersect.schedule(M, delta))
     z, res = intersect.solve_intersection(prob)
     _emit({"z": z.tolist(), "objective": float(c @ z),
            "oracle_calls": res.oracle_calls})

@@ -22,7 +22,6 @@ class OptimizeSpec:
     n: int
     R: float = 1.0
     alpha: float = 0.01
-    cpm_params: CpmParams = None
 
 
 @dataclass
@@ -63,10 +62,7 @@ def minimize(spec):
                 return Inside()
             return resp
 
-    eps = feasibility_eps(spec)
-    params = spec.cpm_params
-    if params is None:
-        params = CpmParams.practical(spec.n, R=spec.R, eps=eps)
+    params = CpmParams.practical(spec.n, R=spec.R, eps=feasibility_eps(spec))
     wrapped = _Wrapped()
     try:
         run_feasibility(wrapped, spec.n, params)

@@ -59,7 +59,6 @@ class CpmState:
     tau: np.ndarray
     params: CpmParams
     origin: list = field(default_factory=list)  # "box" | "cut" per row
-    k: int = 0
     entry_misses: int = 0      # see centering
     max_entry_ratio: float = 0.0
     _at: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
@@ -99,7 +98,7 @@ class CpmState:
 
     def copy(self):
         return CpmState(self.A.copy(), self.b.copy(), self.x.copy(),
-                        self.tau.copy(), self.params, list(self.origin), self.k,
+                        self.tau.copy(), self.params, list(self.origin),
                         self.entry_misses, self.max_entry_ratio)
 
 
@@ -241,7 +240,6 @@ class Found:
     x: np.ndarray
     iterations: int = 0
     oracle_calls: int = 0
-    trace: list = field(default_factory=list)
     entry_misses: int = 0      # see centering
     max_entry_ratio: float = 0.0
 
@@ -259,7 +257,6 @@ class ThinCertificate:
     origins: list = field(default_factory=list)  # per-row cut provenance
     iterations: int = 0
     oracle_calls: int = 0
-    trace: list = field(default_factory=list)
     entry_misses: int = 0
     max_entry_ratio: float = 0.0
 
@@ -305,15 +302,12 @@ def run_feasibility(oracle, n, params=None, trace=None):
     p = params
     st = initial_state(n, p)
     cap = int(math.ceil(5000 * n * math.log(n * p.R / p.eps)))
-    records = [] if trace is None else trace
 
     for k in range(1, cap + 1):
-        st.k = k
         if np.min(st.s) < p.eps:
             cert = certificate(st)
             cert.iterations = k
             cert.oracle_calls = oracle.calls
-            cert.trace = records
             return cert
 
         w = st.psi()
@@ -328,7 +322,7 @@ def run_feasibility(oracle, n, params=None, trace=None):
             resp = oracle.query(st.x)
             if isinstance(resp, Inside):
                 return Found(st.x.copy(), iterations=k,
-                             oracle_calls=oracle.calls, trace=records,
+                             oracle_calls=oracle.calls,
                              entry_misses=st.entry_misses,
                              max_entry_ratio=st.max_entry_ratio)
             if not isinstance(resp, Halfspace):
@@ -347,7 +341,7 @@ def run_feasibility(oracle, n, params=None, trace=None):
                 "oracle_calls": oracle.calls,
             })
 
-    raise IterationCapExceeded("no termination within %d iterations" % cap, records)
+    raise IterationCapExceeded("no termination within %d iterations" % cap)
 
 
 @dataclass
@@ -356,12 +350,11 @@ class Infeasible:
     oracle_calls: int = 0
 
 
-def ellipsoid_baseline(oracle, n, R, eps, cap=None):
+def ellipsoid_baseline(oracle, n, R, eps):
     """Classical central-cut ellipsoid method, used as a cross-check."""
     x = np.zeros(n)
     P = (R * R * n) * np.eye(n)
-    if cap is None:
-        cap = int(2 * n * n * math.log(max(R * math.sqrt(n) / eps, 2.0))) + 10 * n * n
+    cap = int(2 * n * n * math.log(max(R * math.sqrt(n) / eps, 2.0))) + 10 * n * n
     for k in range(1, cap + 1):
         resp = oracle.query(x)
         if isinstance(resp, Inside):

@@ -34,11 +34,7 @@ class BudgetViolated(CutplaneError):
 
 
 class IterationCapExceeded(CutplaneError):
-    """Solver diagnostic: the hard iteration cap fired.  Carries the trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Solver diagnostic: the hard iteration cap fired."""
 
 
 class OutsideOmega(CutplaneError):
@@ -58,14 +54,7 @@ class TriggerNotMet(CutplaneError):
 
 
 class NoProgress(CutplaneError):
-    """Strongly polynomial driver could not extract any fact.
-
-    Carries the offending certificate for post-mortem.
-    """
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """Strongly polynomial driver could not extract any fact."""
 
 
 class InputError(CutplaneError):

@@ -25,10 +25,12 @@ from .errors import OutsideOmega, RoundingFailed
 from .oracles import (FunctionOracle, Halfspace, OptOracle,
                       subgrad_to_separation)
 
-# schedule caps keeping float64 conditioning sane; accuracy downgrades are
+# schedule cap keeping float64 conditioning sane; accuracy downgrades are
 # surfaced through RoundingFailed retries, not silently
 _LAMBDA_CAP = 1e6
-_EPS_FLOOR = 1e-10
+# relaxation attempts of matroid_intersection, each halving the error target
+# of the last
+_ATTEMPTS = 3
 
 
 @dataclass
@@ -38,7 +40,6 @@ class IntersectProblem:
     oracle2: object
     M: float
     lam: float = 2.0
-    delta: float = 1e-2
 
 
 def f_lambda(x, y, problem):
@@ -81,8 +82,6 @@ def _dual_oracle(problem):
     lam = problem.lam
     M = problem.M
     D = 2 * M * math.sqrt(3 * d)
-    sub_delta = getattr(problem.oracle1, "delta", 0.0) + \
-        getattr(problem.oracle2, "delta", 0.0)
 
     def fn(theta):
         t1, t2, t3 = _split(theta, d)
@@ -94,19 +93,17 @@ def _dual_oracle(problem):
                 # big value: outside the domain, cut back toward the ball
                 return 1e30, Halfspace(g, 0.0)
         val, (x, y) = h_lambda(theta, problem)
-        fo.witnesses.append((x, y))
         g = np.concatenate([lam * (x - y) + lam * t1,
                             x / lam + t2 / lam,
                             y / lam + t3 / lam])
-        return val, subgrad_to_separation(g, D, sub_delta)
+        return val, subgrad_to_separation(g, D, 0.0)
 
-    fo = FunctionOracle(fn)
-    fo.witnesses = []
-    return fo
+    return FunctionOracle(fn)
 
 
 def solve_intersection(problem, alpha=None):
-    """Near-maximizer z of <c, .> over K1 cap K2 (up to the delta budget)."""
+    """Near-maximizer z of <c, .> over K1 cap K2, to the accuracy that
+    problem.lam sets (see schedule)."""
     c = np.asarray(problem.c, float)
     d = c.size
     fo = _dual_oracle(problem)
@@ -115,16 +112,12 @@ def solve_intersection(problem, alpha=None):
     res = minimize(spec)
     t1, t2, t3 = _split(res.best_x, d)
     z = 0.5 * (t2 + t3)
-    res.witnesses = fo.witnesses
     return z, res
 
 
 def schedule(M, delta):
-    """lambda and dual accuracy for a target additive error delta, with
-    float64 caps."""
-    lam = min(40.0 * M * M / (delta * delta), _LAMBDA_CAP)
-    eps = max(delta ** 7 / (1e7 * M ** 6), _EPS_FLOOR)
-    return lam, eps
+    """lambda for a target additive error delta, capped for float64."""
+    return min(40.0 * M * M / (delta * delta), _LAMBDA_CAP)
 
 
 def isolation_perturb(c, n, M, seed):
@@ -318,7 +311,7 @@ def _round_candidates(xw, yw, z, m1, m2):
     return plain, repaired
 
 
-def matroid_intersection(m1, m2, weights, Mbound, seed=0, max_retries=3):
+def matroid_intersection(m1, m2, weights, Mbound, seed=0):
     """Maximum-weight common independent set of two matroids.
 
     The weights must be integers (ValueError otherwise): the isolation
@@ -379,8 +372,8 @@ def matroid_intersection(m1, m2, weights, Mbound, seed=0, max_retries=3):
 
     M = math.sqrt(n) + 1.0
     delta = 1.0 / (6.0 * n * n * max(int(Mbound), 1) ** 2)
-    for attempt in range(max_retries):
-        lam, _ = schedule(M, max(delta / (2 ** attempt), 1e-4))
+    for attempt in range(_ATTEMPTS):
+        lam = schedule(M, max(delta / (2 ** attempt), 1e-4))
         prob = IntersectProblem(c=znorm, oracle1=OptOracle(query1),
                                 oracle2=OptOracle(query2), M=M, lam=lam)
         try:
@@ -396,4 +389,4 @@ def matroid_intersection(m1, m2, weights, Mbound, seed=0, max_retries=3):
     if inc.S is not None:
         return inc.S
     raise RoundingFailed("rounded set failed an independence check "
-                         "after %d attempts" % max_retries)
+                         "after %d attempts" % _ATTEMPTS)

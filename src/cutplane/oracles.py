@@ -78,7 +78,6 @@ class OptOracle:
     """Near-maximizer of <c, .> over a convex body K."""
 
     fn: object  # c -> point y in K
-    delta: float = 0.0
     calls: int = 0
 
     def query(self, c):
@@ -108,7 +107,7 @@ def vertex_opt_oracle(vertices):
     def fn(c):
         return V[int(np.argmax(V @ c))]
 
-    return OptOracle(fn, delta=0.0)
+    return OptOracle(fn)
 
 
 def box_oracle(center, radius):

@@ -23,25 +23,22 @@ from .oracles import FunctionOracle, subgrad_to_separation
 
 @dataclass
 class SdpProblem:
+    """The data C, A, b, and the scales derived from them: M bounds every
+    norm of the data, K = M + 1 is the trace cap and L = M + 2 the radius
+    of the dual box."""
     C: np.ndarray
     A: list                  # list of symmetric m x m matrices
     b: np.ndarray
-    M: float = None
-    K: float = None
-    L: float = None
 
     def __post_init__(self):
         self.C = np.asarray(self.C, float)
         self.A = [np.asarray(Ai, float) for Ai in self.A]
         self.b = np.asarray(self.b, float)
-        if self.M is None:
-            self.M = max(1.0, float(np.linalg.norm(self.b)),
-                         float(np.linalg.norm(self.C)),
-                         *[float(np.linalg.norm(Ai)) for Ai in self.A])
-        if self.K is None:
-            self.K = self.M + 1.0
-        if self.L is None:
-            self.L = self.M + 2.0
+        self.M = max(1.0, float(np.linalg.norm(self.b)),
+                     float(np.linalg.norm(self.C)),
+                     *[float(np.linalg.norm(Ai)) for Ai in self.A])
+        self.K = self.M + 1.0
+        self.L = self.M + 2.0
 
     @property
     def side(self):
@@ -58,19 +55,18 @@ class SdpProblem:
         return S
 
 
-def max_eigvec(Y, R, eps, seed, restarts=None):
+def max_eigvec(Y, R, eps, seed):
     """Near-top eigenvector of symmetric Y with -R I <= Y <= R I.
 
     Repeated squaring of B = Y/R + I concentrates a random start on the top
-    eigenspace; a handful of restarts protects against unlucky draws.
+    eigenspace; ceil(ln m) + 2 restarts protect against unlucky draws.
     """
     Y = np.asarray(Y, float)
     m = Y.shape[0]
     rng = np.random.default_rng(seed)
     delta = min(0.25, max(eps / max(R, 1e-300), 1e-12) / 4.0)
     k = int(math.ceil(math.log2(max(math.log(m ** 1.5 / delta) / delta, 2.0))))
-    if restarts is None:
-        restarts = int(math.ceil(math.log(max(m, 2)))) + 2
+    restarts = int(math.ceil(math.log(max(m, 2)))) + 2
     B = Y / R + np.eye(m)
     # repeated squaring with normalization to dodge overflow
     for _ in range(k):
@@ -89,16 +85,23 @@ def max_eigvec(Y, R, eps, seed, restarts=None):
     return best_u, best_val
 
 
-def jacobi_max_eig(Y, sweeps=30, tol=1e-12):
+# sweep cap of jacobi_max_eig, and the size below which an off-diagonal entry
+# is left alone; the sweeps end once the squares of the rotated entries sum
+# below it
+_JACOBI_SWEEPS = 30
+_JACOBI_TOL = 1e-12
+
+
+def jacobi_max_eig(Y):
     """Top eigenpair of symmetric Y by dense Jacobi rotations."""
     Ymat = np.array(Y, float)
     m = Ymat.shape[0]
     V = np.eye(m)
-    for _ in range(sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = 0.0
         for p in range(m - 1):
             for q in range(p + 1, m):
-                if abs(Ymat[p, q]) < tol:
+                if abs(Ymat[p, q]) < _JACOBI_TOL:
                     continue
                 off += Ymat[p, q] ** 2
                 theta = 0.5 * math.atan2(2 * Ymat[p, q], Ymat[q, q] - Ymat[p, p])
@@ -110,7 +113,7 @@ def jacobi_max_eig(Y, sweeps=30, tol=1e-12):
                 J[q, p] = -s
                 Ymat = J.T @ Ymat @ J
                 V = V @ J
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
     i = int(np.argmax(np.diag(Ymat)))
     return V[:, i], float(Ymat[i, i])

@@ -1,17 +1,20 @@
 """Submodular function minimization.
 
-Two solvers over an evaluation oracle:
+One cube phase, two drivers.  The phase runs the cutting plane method on
+the unit cube (or the ring-family polytope of some arcs) against BFS
+hyperplanes, feeding every BFS to a running dual bound: it stops once the
+bound proves the incumbent optimal, or on a one-signed BFS, and otherwise
+returns a thin certificate.
 
- * sfm_weakly: minimize the Lovasz extension over the cube with the
-   cutting-plane optimizer, then exploit integrality; exact for integer
-   valued functions.
- * sfm_strongly: the arc-deduction driver.  Each phase runs the cutting
-   plane method on the ring-family polytope until it produces a thin
-   certificate, decomposes the certificate into facet weights, and
-   extracts one of the facts x_i=0 / x_j=1 / x_i=x_j / x_i<=x_j, shrinking
-   the problem.  Facts are only emitted with a proof in hand (a base
-   polytope point satisfying the relevant inequality), so tolerance
-   trouble can cause retries but never wrong answers.
+ * sfm_weakly: one phase per rung of an eps ladder over the whole cube;
+   the answer is the best set the evaluation oracle ever saw.  Exact for
+   integer valued functions.
+ * sfm_strongly: the arc-deduction driver.  Each phase's thin certificate
+   is decomposed into facet weights, from which one of the facts x_i=0 /
+   x_j=1 / x_i=x_j / x_i<=x_j is extracted, shrinking the problem.  Facts
+   are only emitted with a proof in hand (a base polytope point satisfying
+   the relevant inequality), so tolerance trouble can cause retries but
+   never wrong answers.
 
 Set functions are wrapped in SubmodularFn, which normalizes f(empty)=0,
 caches, counts oracle calls and remembers the best set it has ever been
@@ -20,12 +23,15 @@ asked to evaluate (every candidate the solvers produce passes through it).
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convopt import OptimizeSpec, minimize
-from .core import CpmParams, run_feasibility, ThinCertificate
+# minimize is not called here; perfbench/spans.py wraps it under this module
+# and needs the name to resolve
+from .convopt import OptimizeSpec, feasibility_eps, minimize
+from .core import CpmParams, run_feasibility
 from .errors import (
     IterationCapExceeded,
     NoProgress,
@@ -33,11 +39,11 @@ from .errors import (
     PreconditionViolated,
     TriggerNotMet,
 )
-from .oracles import FunctionOracle, Halfspace, NearOptimal
+from .oracles import Halfspace
 
 
 class SubmodularFn:
-    def __init__(self, n, eval_fn, M=None, check=False):
+    def __init__(self, n, eval_fn, check=False):
         self.n = n
         self._raw = eval_fn
         self.eo_calls = 0
@@ -45,11 +51,9 @@ class SubmodularFn:
         self._offset = eval_fn(frozenset())
         self.best_set = frozenset()
         self.best_value = 0
-        self.M = M
         if check:
             self._spot_check()
-        if self.M is None:
-            self.M = self._discover_m()
+        self.M = self._discover_m()
 
     def __call__(self, S):
         S = frozenset(S)
@@ -317,22 +321,24 @@ class DualBound:
     """Running lower bound max over B(f) combinations of sum min(y_i, 0).
 
     Feeds on the BFS stream of a solver run; each new vertex is line
-    searched against the incumbent combination and against one pool member
-    round robin.  The bound equals min f at the Fujishige dual optimum."""
+    searched against the incumbent combination and against one member of a
+    pool of the last POOL_CAP vertices, round robin.  The bound equals
+    min f at the Fujishige dual optimum."""
 
-    def __init__(self, pool_cap=64):
+    POOL_CAP = 64
+
+    def __init__(self):
         self.y = None
         self.pool = []
         self._k = 0
-        self.pool_cap = pool_cap
 
     def update(self, h):
         h = np.asarray(h, float)
         self._k += 1
-        if len(self.pool) < self.pool_cap:
+        if len(self.pool) < self.POOL_CAP:
             self.pool.append(h)
         else:
-            self.pool[self._k % self.pool_cap] = h
+            self.pool[self._k % self.POOL_CAP] = h
         self.y = h.copy() if self.y is None else _blend_dual(self.y, h)
         self.y = _blend_dual(self.y, self.pool[self._k % len(self.pool)])
         return self.value
@@ -342,50 +348,74 @@ class DualBound:
         return -float("inf") if self.y is None else _negative_part(self.y)
 
 
-def sfm_weakly(f, seed=0, alpha=None):
+class _DegenerateBfs(Exception):
+    def __init__(self, sign):
+        self.sign = sign
+
+
+class _BoundClosed(Exception):
+    pass
+
+
+def _phase_certificate(fr, arcs, eps, bound, closed):
+    """One cutting plane run over the cube (the ring polytope of arcs, if
+    given) in z = x - 1/2 coordinates; returns the thin certificate, or
+    raises _DegenerateBfs if a one-signed BFS shows up.  A dual bound, if
+    given, is fed every emitted BFS and aborts the phase through
+    _BoundClosed once closed() says the incumbent is provably optimal."""
+    d = fr.n
+
+    class _O:
+        calls = 0
+
+        def query(self, z):
+            self.calls += 1
+            resp = ring_oracle(fr, arcs, np.asarray(z) + 0.5)
+            if resp.meta[0] == "bfs":
+                sign = degenerate_shortcut(resp.meta[1].h)
+                if sign:
+                    raise _DegenerateBfs(sign)
+                if bound is not None:
+                    bound.update(resp.meta[1].h)
+                    if closed():
+                        raise _BoundClosed()
+            return Halfspace(resp.c, 0.0, meta=resp.meta).normalized()
+
+    params = CpmParams.practical(d, R=0.5, eps=eps)
+    return run_feasibility(_O(), d, params)
+
+
+def sfm_weakly(f, seed=0):
     """Exact minimizer for integer-valued f through the Lovasz extension.
 
-    The cutting-plane optimizer drives the query points; the returned set
-    is the best one the evaluation oracle ever saw, which dominates the
-    usual threshold rounding of the best query point.  A running dual
-    bound (convex combinations of the emitted BFS's) stops the run the
-    moment the incumbent is provably optimal; an eps ladder keeps the
-    common case cheap while the last rung provides the contractual
-    accuracy alpha = 1/(4M).  The solver is deterministic; seed is
-    accepted for interface compatibility and has no effect.
+    Cube phases drive the query points; the returned set is the best one
+    the evaluation oracle ever saw, which dominates the usual threshold
+    rounding of the best query point.  The phase's dual bound stops the
+    run the moment the incumbent is provably optimal, and a one-signed BFS
+    stops it with the empty or full set already evaluated.  An eps ladder
+    keeps the common case cheap while the last rung provides the
+    contractual accuracy alpha = 1/(4M).  The solver is deterministic;
+    seed is accepted for interface compatibility and has no effect.
     """
     n = f.n
     if n == 0:
         return frozenset(), 0
-    if alpha is None:
-        alpha = 1.0 / (4.0 * f.M)
     bound = DualBound()
 
-    def fn(z):
-        x = z + 0.5
-        resp = ring_oracle(f, None, x)
-        kind = resp.meta[0]
-        if kind == "bfs":
-            value = resp.meta[2]
-            bound.update(resp.meta[1].h)
-            if f.best_value - bound.value < 1.0 - 1e-9:
-                return value, NearOptimal()
-        else:
-            value = float("inf")
-        return value, Halfspace(resp.c, 0.0)
+    def closed():
+        return f.best_value - bound.value < 1.0 - 1e-9
 
-    for rung_alpha in (0.25, alpha):
-        fo = FunctionOracle(fn)
-        spec = OptimizeSpec(oracle=fo, n=n, R=0.5, alpha=rung_alpha)
-        minimize(spec)
-        if f.best_value - bound.value < 1.0 - 1e-9:
+    # the rungs coincide when M = 1, and dict.fromkeys drops the repeat
+    for alpha in dict.fromkeys((0.25, 1.0 / (4.0 * f.M))):
+        eps = feasibility_eps(OptimizeSpec(oracle=None, n=n, R=0.5,
+                                           alpha=alpha))
+        try:
+            _phase_certificate(f, None, eps, bound, closed)
+        except (_BoundClosed, _DegenerateBfs):
             break
-        if rung_alpha <= alpha:
-            break
-    # the empty set (value 0) is always a candidate
-    if f.best_value <= 0:
-        return f.best_set, f.best_value
-    return frozenset(), 0
+        except IterationCapExceeded:
+            pass  # on to the next rung, as after a thin certificate
+    return f.best_set, f.best_value
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +426,6 @@ class Fact:
     kind: str          # Zero | One | Equal | Arc
     i: int
     j: int = -1
-
-
-@dataclass
-class HyperplaneCombination:
-    """Nonnegative facet weights recovered from a thin certificate, scaled
-    so the BFS weights of the two sides sum to one."""
-    alpha: np.ndarray            # weights on the x_i >= 0 facets
-    beta: np.ndarray             # weights on the x_j <= 1 facets
-    gamma: dict                  # (i, j) -> weight on x_i <= x_j
-    lambdas: list                # [weight, side, Bfs, fhat] per BFS facet
-    gap: float                   # measured residual scale
 
 
 class ReducedProblem:
@@ -512,49 +531,15 @@ class ReducedProblem:
         return self.expand(best_S), best_v
 
 
-class _DegenerateBfs(Exception):
-    def __init__(self, sign):
-        self.sign = sign
-
-
-class _BoundClosed(Exception):
-    pass
-
-
-def _phase_certificate(fr, arcs, eps, bound=None, closed=None):
-    """One cutting plane run on the ring polytope; returns the thin
-    certificate, or raises _DegenerateBfs if a one-signed BFS shows up.
-    An optional dual bound is fed every emitted BFS and may abort the
-    phase through _BoundClosed once the incumbent is provably optimal."""
-    d = fr.n
-
-    class _O:
-        calls = 0
-
-        def query(self, z):
-            self.calls += 1
-            resp = ring_oracle(fr, arcs, np.asarray(z) + 0.5)
-            if resp.meta[0] == "bfs":
-                sign = degenerate_shortcut(resp.meta[1].h)
-                if sign:
-                    raise _DegenerateBfs(sign)
-                if bound is not None:
-                    bound.update(resp.meta[1].h)
-                    if closed():
-                        raise _BoundClosed()
-            return Halfspace(resp.c, 0.0, meta=resp.meta).normalized()
-
-    params = CpmParams.practical(d, R=0.5, eps=eps)
-    return run_feasibility(_O(), d, params)
-
-
 def _decompose_certificate(cert, d):
-    """Split the thin certificate into facet weights per type.
+    """Split the thin certificate into nonnegative facet weights per type.
 
-    Returns (alpha, beta, gamma, lambdas, gap) after the usual scaling
-    that makes the BFS weights sum to one.  alpha/beta are arrays over
-    elements, gamma a dict over arcs, lambdas a list of
-    (weight, side, Bfs, fhat).
+    Returns (alpha, beta, gamma, lambdas, gap), or None when no BFS facet
+    carries weight, after the usual scaling that makes the BFS weights sum
+    to one: alpha and beta weigh the x_i >= 0 and x_j <= 1 facets per
+    element, gamma maps an arc (i, j) to the weight on x_i <= x_j, lambdas
+    lists [weight, side, Bfs, fhat] per BFS facet, and gap is the measured
+    residual scale.
     """
     rows = []
     for j in range(cert.A.shape[0]):
@@ -601,7 +586,7 @@ def _decompose_certificate(cert, d):
     for l in lambdas:
         l[0] *= scale
     gap = max(resid, abs(Mpair)) * scale
-    return HyperplaneCombination(alpha, beta, gamma, lambdas, gap)
+    return alpha, beta, gamma, lambdas, gap
 
 
 def _fact_from_certificate(fr, arcs, cert):
@@ -609,8 +594,8 @@ def _fact_from_certificate(fr, arcs, cert):
     deco = _decompose_certificate(cert, d)
     if deco is None:
         return None
-    alpha, beta, gamma, lambdas = deco.alpha, deco.beta, deco.gamma, deco.lambdas
-    thresh = 2.0 * math.sqrt(d) * deco.gap
+    alpha, beta, gamma, lambdas, gap = deco
+    thresh = 2.0 * math.sqrt(d) * gap
     i = int(np.argmax(alpha))
     if alpha[i] > thresh:
         return Fact("Zero", i)
@@ -697,14 +682,11 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
                     return f.best_set, f.best_value
             for eps in (1e-5, 1e-7):
                 try:
-                    cert = _phase_certificate(fr, P.arcs, eps, bound=bound,
-                                              closed=closed)
+                    cert = _phase_certificate(fr, P.arcs, eps, bound, closed)
                 except IterationCapExceeded:
                     continue
                 except _BoundClosed:
                     return f.best_set, f.best_value
-                if not isinstance(cert, ThinCertificate):
-                    break
                 fact = _fact_from_certificate(fr, P.arcs, cert)
                 if fact is not None:
                     break
@@ -715,8 +697,7 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
                 S = P.expand(set(range(P.size)))
             return S, f(S)
         if fact is None:
-            raise NoProgress("no fact extractable at phase %d" % phase,
-                             certificate=None)
+            raise NoProgress("no fact extractable at phase %d" % phase)
         P.apply(fact)
     raise NoProgress("phase budget exhausted")
 
@@ -724,9 +705,30 @@ def sfm_strongly(f, seed=0, dual_shortcut=True):
 # ---------------------------------------------------------------------------
 # function builders
 
+def _check_weight(w):
+    if not isinstance(w, numbers.Real):
+        raise ValueError("weight %r is not a number" % (w,))
+
+
 def cut_function(n, edges):
-    """f(S) = total weight of edges crossing S."""
-    edges = [(int(u), int(v), w) for u, v, w in edges]
+    """f(S) = total weight of edges crossing S.
+
+    edges holds (u, v, weight) triples over the vertices range(n); anything
+    else raises ValueError.
+    """
+    if n < 0:
+        raise ValueError("a cut function needs n >= 0, not %d" % n)
+    triples = []
+    for e in edges:
+        if len(e) != 3:
+            raise ValueError("edge %r is not a (u, v, weight) triple" % (e,))
+        u, v, w = int(e[0]), int(e[1]), e[2]
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge (%d, %d) leaves the vertices range(%d)"
+                             % (u, v, n))
+        _check_weight(w)
+        triples.append((u, v, w))
+    edges = triples
 
     def fn(S):
         return sum(w for u, v, w in edges if (u in S) != (v in S))
@@ -735,7 +737,20 @@ def cut_function(n, edges):
 
 
 def coverage_function(n, sets, weights):
+    """f(S) = total weight of the universe elements the sets in S cover.
+
+    The universe is range(len(weights)); a set naming anything else raises
+    ValueError.
+    """
     sets = [frozenset(s) for s in sets]
+    for w in weights:
+        _check_weight(w)
+    universe = range(len(weights))
+    for s in sets:
+        for u in s:
+            if u not in universe:
+                raise ValueError("set element %r is outside the universe "
+                                 "range(%d)" % (u, len(weights)))
 
     def fn(S):
         covered = set()

@@ -235,6 +235,22 @@ def test_feas_rejects_set_of_wrong_dimension(specs, body):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "cut", "n": "x", "edges": [[0, 1, 1]]},
+    {"type": "cut", "n": 2, "edges": [[0, 1]]},
+    {"type": "cut", "edges": []},
+    {"type": "cut", "n": 2, "edges": [[0, 1, "a"]]},
+    {"type": "cut", "n": 2, "edges": [[0, 5, 1]]},
+    {"type": "cut", "n": -1, "edges": []},
+    {"type": "coverage", "sets": [[0], [5]], "weights": [1, 2]},
+])
+def test_sfm_rejects_malformed_function(specs, spec):
+    path = specs("fn.json", spec)
+    r = run_cli(["sfm", "--spec", path])
+    _assert_input_error(r)
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("slopes, offsets", [
     ([[1.0, 0.0, 0.0]], [0.0]),
     ([[1.0, 0.0]], [0.0, 1.0]),

@@ -216,8 +216,14 @@ def test_strong_arc_path_without_shortcut():
 
 
 def test_trivial_inputs():
+    # one-signed modular functions: every BFS is one-signed, so each
+    # solver stops at its first BFS with the empty or the full set
     f = sfm.SubmodularFn(3, lambda S: len(S))
     assert sfm.sfm_weakly(f) == (frozenset(), 0)
+    f = sfm.SubmodularFn(3, lambda S: len(S))
+    assert sfm.sfm_strongly(f) == (frozenset(), 0)
+    g = sfm.SubmodularFn(3, lambda S: -len(S))
+    assert sfm.sfm_weakly(g) == (frozenset({0, 1, 2}), -3)
     g = sfm.SubmodularFn(3, lambda S: -len(S))
     S, v = sfm.sfm_strongly(g)
     assert (S, v) == (frozenset({0, 1, 2}), -3)
