@@ -10,13 +10,13 @@ from .core import (
     certificate,
     run_feasibility,
 )
-from .convopt import OptimizeSpec, OptimizeResult, minimize
-from .oracles import Halfspace, Inside, NearOptimal, SetOracle, FunctionOracle
+from .convopt import OptimizeResult, minimize
+from .oracles import Halfspace, Inside, NearOptimal, Oracle
 
 __all__ = [
     "CpmParams", "CpmState", "Found", "ThinCertificate", "certificate",
-    "run_feasibility", "OptimizeSpec", "OptimizeResult", "minimize",
-    "Halfspace", "Inside", "NearOptimal", "SetOracle", "FunctionOracle",
+    "run_feasibility", "OptimizeResult", "minimize",
+    "Halfspace", "Inside", "NearOptimal", "Oracle",
 ]
 
 __version__ = "0.1.0"

@@ -15,14 +15,20 @@ import sys
 import numpy as np
 
 from . import chasing, core, intersect, sdp, sfm
-from .convopt import OptimizeSpec, minimize
+from .convopt import minimize
 from .errors import (
     InputError,
     IterationCapExceeded,
     NoProgress,
     RoundingFailed,
 )
-from .oracles import FunctionOracle, subgrad_to_separation
+from .oracles import (
+    Oracle,
+    box_oracle,
+    halfspace_set_oracle,
+    subgrad_to_separation,
+    vertex_opt_oracle,
+)
 
 EXIT_OK = 0
 EXIT_CERT = 2
@@ -87,8 +93,7 @@ def load_function(d, path="<spec>"):
             n = _field(d, "n", path, int)
             return sfm.table_function(n, _require(d, "values", path))
         if kind == "coverage":
-            sets = _require(d, "sets", path)
-            return sfm.coverage_function(len(sets), sets,
+            return sfm.coverage_function(_require(d, "sets", path),
                                          _require(d, "weights", path))
     except (TypeError, ValueError) as e:
         # malformed edges, sets or weights
@@ -115,14 +120,12 @@ def load_matroid(d, path="<spec>"):
 def _load_set_oracle(d, path, n):
     kind = _require(d, "type", path)
     if kind == "box":
-        from .oracles import box_oracle
         center = _field(d, "center", path, _floats)
         if center.shape != (n,):
             raise InputError("box center in %s has shape %s, need (%d,)"
                              % (path, center.shape, n))
         return box_oracle(center, _field(d, "radius", path, float))
     if kind == "halfspaces":
-        from .oracles import halfspace_set_oracle
         A = _field(d, "A", path, _floats)
         b = _field(d, "b", path, _floats)
         if A.ndim != 2 or A.shape[1] != n:
@@ -179,10 +182,8 @@ def cmd_opt(args):
         j = int(np.argmax(vals))
         return float(vals[j]), subgrad_to_separation(slopes[j], D, 0.0)
 
-    fo = FunctionOracle(fn)
-    res = minimize(OptimizeSpec(oracle=fo, n=n, R=R,
-                                alpha=_field(spec, "alpha", args.spec,
-                                             float, 0.01)))
+    res = minimize(Oracle(fn), n, R,
+                   _field(spec, "alpha", args.spec, float, 0.01))
     _emit({"best_value": res.best_value, "best_x": res.best_x.tolist(),
            "oracle_calls": res.oracle_calls, "termination": res.termination})
     return EXIT_OK
@@ -191,10 +192,8 @@ def cmd_opt(args):
 def cmd_sfm(args):
     spec = _load_json(args.spec)
     f = load_function(spec, args.spec)
-    if args.mode == "weak":
-        S, val = sfm.sfm_weakly(f, seed=args.seed)
-    else:
-        S, val = sfm.sfm_strongly(f, seed=args.seed)
+    solve = sfm.sfm_weakly if args.mode == "weak" else sfm.sfm_strongly
+    S, val = solve(f)
     _emit({"min_value": val, "set": sorted(int(i) for i in S),
            "eo_calls": f.eo_calls})
     return EXIT_OK
@@ -219,7 +218,6 @@ def cmd_matroid(args):
 def _load_opt_body(d, path):
     kind = _require(d, "type", path)
     if kind == "vertices":
-        from .oracles import vertex_opt_oracle
         return vertex_opt_oracle(_require(d, "points", path))
     if kind in ("partition", "uniform", "graphic", "free"):
         m = load_matroid(d, path)
@@ -280,41 +278,38 @@ def _build_parser():
     p = _Parser(prog="cutplane")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def seeded(sp):
+        # only the randomized solvers take a seed
         sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("feas")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--trace", default=None)
-    common(sp)
     sp.set_defaults(fn=cmd_feas)
 
     sp = sub.add_parser("opt")
     sp.add_argument("--spec", required=True)
-    common(sp)
     sp.set_defaults(fn=cmd_opt)
 
     sp = sub.add_parser("sfm")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--mode", choices=["weak", "strong"], default="weak")
-    common(sp)
     sp.set_defaults(fn=cmd_sfm)
 
     sp = sub.add_parser("matroid")
     sp.add_argument("--spec", required=True)
-    common(sp)
+    seeded(sp)
     sp.set_defaults(fn=cmd_matroid)
 
     sp = sub.add_parser("intersect")
     sp.add_argument("--spec", required=True)
-    common(sp)
     sp.set_defaults(fn=cmd_intersect)
 
     sp = sub.add_parser("sdp")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--primal", action="store_true")
-    common(sp)
+    seeded(sp)
     sp.set_defaults(fn=cmd_sdp)
 
     sp = sub.add_parser("chase")
@@ -324,7 +319,7 @@ def _build_parser():
     sp.add_argument("--R", type=float, default=1.0)
     sp.add_argument("--adversary", default="dense",
                     choices=["zero", "sparse", "dense", "adaptive"])
-    common(sp)
+    seeded(sp)
     sp.set_defaults(fn=cmd_chase)
     return p
 
@@ -332,7 +327,7 @@ def _build_parser():
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = _field(os.environ, "CUTPLANE_SEED", "the environment",
                                int, "0")
         return args.fn(args)

@@ -17,44 +17,35 @@ from .oracles import Inside, NearOptimal
 
 
 @dataclass
-class OptimizeSpec:
-    oracle: object           # FunctionOracle
-    n: int
-    R: float = 1.0
-    alpha: float = 0.01
-
-
-@dataclass
 class OptimizeResult:
     best_x: np.ndarray
     best_value: float
-    termination: str = "WidthExhausted"
-    oracle_calls: int = 0
+    termination: str         # "NearOptimalFlag" or "WidthExhausted"
+    oracle_calls: int
 
 
-def feasibility_eps(spec):
+def feasibility_eps(n, R, alpha):
     """Stopping width delta = alpha * MinWidth / (n^{3/2} ln kappa).
 
     MinWidth is folded into kappa: with kappa = R/MinWidth the width is
     R/kappa, and kappa is taken as n^{3/2}.
     """
-    n = spec.n
     kappa = max(n, 2) ** 1.5
-    minwidth = spec.R / kappa
-    return spec.alpha * minwidth / (n ** 1.5 * math.log(max(kappa, math.e)))
+    minwidth = R / kappa
+    return alpha * minwidth / (n ** 1.5 * math.log(max(kappa, math.e)))
 
 
-def minimize(spec):
-    """Best queried point of the oracle's function over the R-box."""
-    fo = spec.oracle
+def minimize(oracle, n, R, alpha):
+    """Best queried point of the function over the R-box.
+
+    oracle is an oracles.Oracle whose fn maps x to (value, NearOptimal |
+    Halfspace); alpha sets the stopping width through feasibility_eps.
+    """
     state = {"best": None, "stop": False}
 
     class _Wrapped:
-        calls = 0
-
         def query(self, x):
-            self.calls += 1
-            value, resp = fo.query(x)
+            value, resp = oracle.query(x)
             if state["best"] is None or value < state["best"][1]:
                 state["best"] = (np.array(x, dtype=float), float(value))
             if isinstance(resp, NearOptimal):
@@ -62,14 +53,13 @@ def minimize(spec):
                 return Inside()
             return resp
 
-    params = CpmParams.practical(spec.n, R=spec.R, eps=feasibility_eps(spec))
-    wrapped = _Wrapped()
+    params = CpmParams.practical(n, R=R, eps=feasibility_eps(n, R, alpha))
     try:
-        run_feasibility(wrapped, spec.n, params)
+        run_feasibility(_Wrapped(), n, params)
     except IterationCapExceeded:
         if state["best"] is None:
             raise
     termination = "NearOptimalFlag" if state["stop"] else "WidthExhausted"
     bx, bv = state["best"]
     return OptimizeResult(best_x=bx, best_value=bv, termination=termination,
-                          oracle_calls=fo.calls)
+                          oracle_calls=oracle.calls)

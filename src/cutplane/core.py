@@ -292,22 +292,24 @@ def certificate(st):
 def run_feasibility(oracle, n, params=None, trace=None):
     """Main loop: refresh one leverage estimate, add or drop a cut, recenter.
 
-    oracle must answer Inside or a (normalized) Halfspace for the target
-    set, which the caller promises lives inside the R-box.  Returns Found
-    or a ThinCertificate; raises IterationCapExceeded past the hard cap.
-    A list passed as trace receives one record per iteration.
+    oracle.query(x) must answer Inside or a Halfspace of any positive norm
+    for the target set, which the caller promises lives inside the R-box;
+    the loop normalizes each cut and counts the queries it makes.  Returns
+    Found or a ThinCertificate; raises IterationCapExceeded past the hard
+    cap.  A list passed as trace receives one record per iteration.
     """
     if params is None:
         params = CpmParams.practical(n)
     p = params
     st = initial_state(n, p)
     cap = int(math.ceil(5000 * n * math.log(n * p.R / p.eps)))
+    calls = 0
 
     for k in range(1, cap + 1):
         if np.min(st.s) < p.eps:
             cert = certificate(st)
             cert.iterations = k
-            cert.oracle_calls = oracle.calls
+            cert.oracle_calls = calls
             return cert
 
         w = st.psi()
@@ -320,13 +322,14 @@ def run_feasibility(oracle, n, params=None, trace=None):
             action = "remove"
         else:
             resp = oracle.query(st.x)
+            calls += 1
             if isinstance(resp, Inside):
-                return Found(st.x.copy(), iterations=k,
-                             oracle_calls=oracle.calls,
+                return Found(st.x.copy(), iterations=k, oracle_calls=calls,
                              entry_misses=st.entry_misses,
                              max_entry_ratio=st.max_entry_ratio)
             if not isinstance(resp, Halfspace):
                 raise PreconditionViolated("oracle returned %r" % (resp,))
+            resp = resp.normalized()
             add_cut(st, -resp.c)
             if resp.meta is not None:
                 st.origin[-1] = ("cut", resp.meta)
@@ -338,7 +341,7 @@ def run_feasibility(oracle, n, params=None, trace=None):
                 "k": k, "m": st.m, "potential": potential(st),
                 "min_slack": float(np.min(st.s)),
                 "centrality": centrality(st), "action": action,
-                "oracle_calls": oracle.calls,
+                "oracle_calls": calls,
             })
 
     raise IterationCapExceeded("no termination within %d iterations" % cap)
@@ -346,8 +349,8 @@ def run_feasibility(oracle, n, params=None, trace=None):
 
 @dataclass
 class Infeasible:
-    iterations: int = 0
-    oracle_calls: int = 0
+    iterations: int
+    oracle_calls: int
 
 
 def ellipsoid_baseline(oracle, n, R, eps):
@@ -358,12 +361,12 @@ def ellipsoid_baseline(oracle, n, R, eps):
     for k in range(1, cap + 1):
         resp = oracle.query(x)
         if isinstance(resp, Inside):
-            return Found(x.copy(), iterations=k, oracle_calls=oracle.calls)
-        g = resp.c
+            return Found(x.copy(), iterations=k, oracle_calls=k)
+        g = resp.normalized().c
         Pg = P @ g
         width = math.sqrt(max(float(g @ Pg), 0.0))
         if width <= eps:
-            return Infeasible(iterations=k, oracle_calls=oracle.calls)
+            return Infeasible(iterations=k, oracle_calls=k)
         x = x - Pg / ((n + 1) * width)
         P = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1)) * np.outer(Pg, Pg) / (g @ Pg))
         P = 0.5 * (P + P.T)

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convopt import OptimizeSpec, minimize
+from .convopt import minimize
 from .errors import OutsideOmega, RoundingFailed
-from .oracles import (FunctionOracle, Halfspace, OptOracle,
-                      subgrad_to_separation)
+from .oracles import Halfspace, Oracle, subgrad_to_separation
 
 # schedule cap keeping float64 conditioning sane; accuracy downgrades are
 # surfaced through RoundingFailed retries, not silently
@@ -39,7 +38,7 @@ class IntersectProblem:
     oracle1: object
     oracle2: object
     M: float
-    lam: float = 2.0
+    lam: float
 
 
 def f_lambda(x, y, problem):
@@ -98,18 +97,15 @@ def _dual_oracle(problem):
                             y / lam + t3 / lam])
         return val, subgrad_to_separation(g, D, 0.0)
 
-    return FunctionOracle(fn)
+    return Oracle(fn)
 
 
-def solve_intersection(problem, alpha=None):
+def solve_intersection(problem, alpha=0.01):
     """Near-maximizer z of <c, .> over K1 cap K2, to the accuracy that
     problem.lam sets (see schedule)."""
     c = np.asarray(problem.c, float)
     d = c.size
-    fo = _dual_oracle(problem)
-    spec = OptimizeSpec(oracle=fo, n=3 * d, R=2 * problem.M,
-                        alpha=alpha if alpha is not None else 0.01)
-    res = minimize(spec)
+    res = minimize(_dual_oracle(problem), 3 * d, 2 * problem.M, alpha)
     t1, t2, t3 = _split(res.best_x, d)
     z = 0.5 * (t2 + t3)
     return z, res
@@ -221,7 +217,7 @@ def matroid_polytope_oracle(matroid, n):
         x[S] = 1.0
         return x
 
-    return OptOracle(fn)
+    return Oracle(fn)
 
 
 class _CertifiedStop(Exception):
@@ -374,8 +370,8 @@ def matroid_intersection(m1, m2, weights, Mbound, seed=0):
     delta = 1.0 / (6.0 * n * n * max(int(Mbound), 1) ** 2)
     for attempt in range(_ATTEMPTS):
         lam = schedule(M, max(delta / (2 ** attempt), 1e-4))
-        prob = IntersectProblem(c=znorm, oracle1=OptOracle(query1),
-                                oracle2=OptOracle(query2), M=M, lam=lam)
+        prob = IntersectProblem(c=znorm, oracle1=Oracle(query1),
+                                oracle2=Oracle(query2), M=M, lam=lam)
         try:
             solve_intersection(prob, alpha=0.01 / (2 ** attempt))
         except _CertifiedStop:

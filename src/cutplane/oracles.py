@@ -43,46 +43,19 @@ class Halfspace:
 
 
 @dataclass
-class SetOracle:
-    """Separation oracle for a convex set, with call counting."""
+class Oracle:
+    """A caller's oracle, with call counting: query(x) is fn(x) for x as a
+    float array.  Separation oracles answer Inside or a Halfspace, function
+    oracles (value, NearOptimal | Halfspace), optimization oracles a point
+    of K near the maximizer of <x, .>.  Cuts pass as fn returns them;
+    run_feasibility normalizes each one."""
 
-    fn: object  # x -> Inside | Halfspace
+    fn: object
     calls: int = 0
 
     def query(self, x):
         self.calls += 1
-        r = self.fn(np.asarray(x, dtype=float))
-        if isinstance(r, Halfspace):
-            return r.normalized()
-        return r
-
-
-@dataclass
-class FunctionOracle:
-    """Separation oracle for minimizing a function: NearOptimal or a
-    halfspace containing the current level set."""
-
-    fn: object  # x -> (value, NearOptimal | Halfspace)
-    calls: int = 0
-
-    def query(self, x):
-        self.calls += 1
-        value, r = self.fn(np.asarray(x, dtype=float))
-        if isinstance(r, Halfspace):
-            return value, r.normalized()
-        return value, r
-
-
-@dataclass
-class OptOracle:
-    """Near-maximizer of <c, .> over a convex body K."""
-
-    fn: object  # c -> point y in K
-    calls: int = 0
-
-    def query(self, c):
-        self.calls += 1
-        return np.asarray(self.fn(np.asarray(c, dtype=float)), dtype=float)
+        return self.fn(np.asarray(x, dtype=float))
 
 
 def subgrad_to_separation(g, D, delta):
@@ -107,7 +80,7 @@ def vertex_opt_oracle(vertices):
     def fn(c):
         return V[int(np.argmax(V @ c))]
 
-    return OptOracle(fn)
+    return Oracle(fn)
 
 
 def box_oracle(center, radius):
@@ -124,7 +97,7 @@ def box_oracle(center, radius):
         # K sits in {z : e^T z <= e^T x - (|d_i| - radius)}
         return Halfspace(e, -(abs(d[i]) - radius))
 
-    return SetOracle(fn)
+    return Oracle(fn)
 
 
 def halfspace_set_oracle(constraints):
@@ -139,4 +112,4 @@ def halfspace_set_oracle(constraints):
             return Inside()
         return Halfspace(A[j], -viol[j])
 
-    return SetOracle(fn)
+    return Oracle(fn)

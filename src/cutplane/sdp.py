@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convopt import OptimizeSpec, minimize
-from .oracles import FunctionOracle, subgrad_to_separation
+from .convopt import minimize
+from .oracles import Oracle, subgrad_to_separation
 
 
 @dataclass
@@ -141,20 +141,18 @@ def solve_dual(problem, eps_total=1e-2, seed=0):
     n = problem.ncons
     witnesses = []
     eig_eps = eps_total / 10.0
-    counter = [0]
 
     def fn(y):
-        counter[0] += 1
+        # the k-th query draws its eigenvector start from seed + k
         value, resp, u = fK_separation(y, problem, eig_eps,
-                                       seed=seed + counter[0])
+                                       seed=seed + fo.calls)
         witnesses.append(u)
         return value, resp
 
-    fo = FunctionOracle(fn)
+    fo = Oracle(fn)
     alpha = eps_total / (7.0 * max(n, 1) * problem.M * problem.K * problem.L)
     alpha = min(max(alpha, 1e-6), 0.5)
-    spec = OptimizeSpec(oracle=fo, n=n, R=problem.L, alpha=alpha)
-    res = minimize(spec)
+    res = minimize(fo, n, problem.L, alpha)
     return res.best_x, res.best_value, witnesses, res
 
 

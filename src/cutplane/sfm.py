@@ -30,7 +30,7 @@ import numpy as np
 
 # minimize is not called here; perfbench/spans.py wraps it under this module
 # and needs the name to resolve
-from .convopt import OptimizeSpec, feasibility_eps, minimize
+from .convopt import feasibility_eps, minimize
 from .core import CpmParams, run_feasibility
 from .errors import (
     IterationCapExceeded,
@@ -185,11 +185,6 @@ class ArcSet:
     def closed(self, S):
         return all(self.R(i) <= S for i in S)
 
-    def copy(self):
-        a = ArcSet(self.n)
-        a.reach = self.reach.copy()
-        return a
-
 
 def sandwich_pick(h, hp, lam):
     """Element with certified large |marginal| from two near-cancelling
@@ -277,6 +272,8 @@ def ring_oracle(f, arcs, xbar):
     """
     xbar = np.asarray(xbar, float)
     n = f.n
+    # the loop may drop a box row (remove_cut picks by leverage alone), and
+    # its next query can then leave the cube; these facets cut it back
     for i in range(n):
         if xbar[i] < 0:
             e = np.zeros(n)
@@ -366,10 +363,7 @@ def _phase_certificate(fr, arcs, eps, bound, closed):
     d = fr.n
 
     class _O:
-        calls = 0
-
         def query(self, z):
-            self.calls += 1
             resp = ring_oracle(fr, arcs, np.asarray(z) + 0.5)
             if resp.meta[0] == "bfs":
                 sign = degenerate_shortcut(resp.meta[1].h)
@@ -379,7 +373,7 @@ def _phase_certificate(fr, arcs, eps, bound, closed):
                     bound.update(resp.meta[1].h)
                     if closed():
                         raise _BoundClosed()
-            return Halfspace(resp.c, 0.0, meta=resp.meta).normalized()
+            return resp
 
     params = CpmParams.practical(d, R=0.5, eps=eps)
     return run_feasibility(_O(), d, params)
@@ -407,8 +401,7 @@ def sfm_weakly(f, seed=0):
 
     # the rungs coincide when M = 1, and dict.fromkeys drops the repeat
     for alpha in dict.fromkeys((0.25, 1.0 / (4.0 * f.M))):
-        eps = feasibility_eps(OptimizeSpec(oracle=None, n=n, R=0.5,
-                                           alpha=alpha))
+        eps = feasibility_eps(n, 0.5, alpha)
         try:
             _phase_certificate(f, None, eps, bound, closed)
         except (_BoundClosed, _DegenerateBfs):
@@ -736,11 +729,11 @@ def cut_function(n, edges):
     return SubmodularFn(n, fn)
 
 
-def coverage_function(n, sets, weights):
+def coverage_function(sets, weights):
     """f(S) = total weight of the universe elements the sets in S cover.
 
-    The universe is range(len(weights)); a set naming anything else raises
-    ValueError.
+    The ground set is range(len(sets)) and the universe range(len(weights));
+    a set naming anything else raises ValueError.
     """
     sets = [frozenset(s) for s in sets]
     for w in weights:
@@ -758,7 +751,7 @@ def coverage_function(n, sets, weights):
             covered |= sets[i]
         return sum(weights[u] for u in covered)
 
-    return SubmodularFn(n, fn)
+    return SubmodularFn(len(sets), fn)
 
 
 def table_function(n, values, check=True):

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from cutplane import chasing, core, intersect, leverage, linalg, sdp, sfm
-from cutplane.convopt import OptimizeSpec, feasibility_eps, minimize
+from cutplane.convopt import feasibility_eps, minimize
 from cutplane.oracles import (
-    FunctionOracle,
-    Halfspace,
     Inside,
+    Oracle,
     box_oracle,
     halfspace_set_oracle,
     subgrad_to_separation,
@@ -444,16 +443,10 @@ def _affine_max_oracle(n, seed):
 
 def _ellipsoid_calls(fn, n, eps):
     class _Cuts:
-        calls = 0
-
         def query(self, x):
-            self.calls += 1
-            _, r = fn(np.asarray(x, float))
-            return r.normalized() if isinstance(r, Halfspace) else r
+            return fn(np.asarray(x, float))[1]
 
-    eo = _Cuts()
-    core.ellipsoid_baseline(eo, n, R=1.0, eps=eps)
-    return eo.calls
+    return core.ellipsoid_baseline(_Cuts(), n, R=1.0, eps=eps).oracle_calls
 
 
 def test_criterion_10_scaling_trend():
@@ -465,12 +458,11 @@ def test_criterion_10_scaling_trend():
     cp_calls, el_calls = [], []
     for n in ns:
         fn = _affine_max_oracle(n, 0)
-        fo = FunctionOracle(fn)
-        spec = OptimizeSpec(oracle=fo, n=n, R=1.0, alpha=0.1)
-        minimize(spec)
+        fo = Oracle(fn)
+        minimize(fo, n, 1.0, 0.1)
         cp_calls.append(fo.calls)
 
-        eps = feasibility_eps(spec)
+        eps = feasibility_eps(n, 1.0, 0.1)
         counts = [_ellipsoid_calls(_affine_max_oracle(n, s), n, eps)
                   for s in range(8)]
         el_calls.append(float(np.exp(np.mean(np.log(counts)))))

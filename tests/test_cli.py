@@ -71,8 +71,8 @@ def test_stdout_byte_identical_across_runs(specs):
         "n": 3,
         "set": {"type": "box", "center": [0.1, 0.2, -0.3], "radius": 0.08},
     })
-    r1 = run_cli(["feas", "--spec", path, "--seed", "5"])
-    r2 = run_cli(["feas", "--spec", path, "--seed", "5"])
+    r1 = run_cli(["feas", "--spec", path])
+    r2 = run_cli(["feas", "--spec", path])
     assert r1.stdout == r2.stdout
     assert r1.returncode == r2.returncode == 0
 
@@ -153,14 +153,13 @@ def test_chase_emits_jsonl():
     assert all(rec["supnorm"] >= 0 for rec in recs)
 
 
-def test_env_seed_fallback(specs):
-    path = specs("box4.json", {
-        "n": 2,
-        "set": {"type": "box", "center": [0.25, 0.25], "radius": 0.1},
-    })
-    r1 = run_cli(["feas", "--spec", path], env_extra={"CUTPLANE_SEED": "7"})
-    r2 = run_cli(["feas", "--spec", path, "--seed", "7"])
-    assert r1.stdout == r2.stdout
+def test_env_seed_fallback():
+    chase = ["chase", "--m", "8", "--rounds", "5"]
+    r1 = run_cli(chase, env_extra={"CUTPLANE_SEED": "7"})
+    r2 = run_cli(chase + ["--seed", "7"])
+    r3 = run_cli(chase + ["--seed", "8"])
+    assert r1.returncode == r2.returncode == r3.returncode == 0
+    assert r1.stdout == r2.stdout != r3.stdout
 
 
 def _assert_input_error(r):
@@ -173,11 +172,16 @@ def _assert_input_error(r):
     ["feas"],                                        # missing --spec
     ["feas", "--spec", "SPEC", "--profile", "theoretical"],
     ["bench", "--corpus", "DIR", "--out", "DIR"],   # no such subcommand
-    ["feas", "--spec", "SPEC", "--seed", "x"],
+    ["chase", "--m", "8", "--rounds", "2", "--seed", "x"],
     [],
     ["sfm", "--spec", "TABLE_N"],                    # non-integer n
     ["sfm", "--spec", "TABLE_LEN"],                  # 3 values for n = 2
     ["matroid", "--spec", "WEIGHTS"],                # non-numeric weight
+    # --seed only where a solver draws random numbers
+    ["feas", "--spec", "SPEC", "--seed", "5"],
+    ["opt", "--spec", "OPT", "--seed", "5"],
+    ["intersect", "--spec", "INTERSECT", "--seed", "5"],
+    ["sfm", "--spec", "CUT", "--seed", "5"],
 ])
 def test_usage_errors_exit_3(specs, tmp_path, args):
     fill = {"DIR": str(tmp_path)}
@@ -188,6 +192,12 @@ def test_usage_errors_exit_3(specs, tmp_path, args):
         "TABLE_LEN": {"type": "table", "n": 2, "values": [0, 1, 1]},
         "WEIGHTS": {"m1": {"type": "uniform", "rank": 1, "n": 2},
                     "m2": {"type": "free", "n": 2}, "weights": ["a", 2]},
+        "OPT": {"type": "affine_max", "n": 1, "slopes": [[1.0]],
+                "offsets": [0.0]},
+        "INTERSECT": {"c": [1.0, 1.0], "M": 2.0,
+                      "body1": {"type": "free", "n": 2},
+                      "body2": {"type": "uniform", "rank": 1, "n": 2}},
+        "CUT": {"type": "cut", "n": 2, "edges": [[0, 1, 1]]},
     }.items():
         fill[name] = specs(name + ".json", spec)
     _assert_input_error(run_cli([fill.get(a, a) for a in args]))
@@ -204,11 +214,8 @@ def test_opt_writes_only_json_to_stderr(specs):
         json.loads(line)
 
 
-def test_non_integer_env_seed_is_input_error(specs):
-    path = specs("box5.json", {
-        "n": 2, "set": {"type": "box", "center": [0.2, 0.2], "radius": 0.1},
-    })
-    _assert_input_error(run_cli(["feas", "--spec", path],
+def test_non_integer_env_seed_is_input_error():
+    _assert_input_error(run_cli(["chase", "--m", "8", "--rounds", "2"],
                                 env_extra={"CUTPLANE_SEED": "x"}))
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 
-from cutplane.convopt import OptimizeSpec, feasibility_eps, minimize
-from cutplane.oracles import FunctionOracle, Halfspace, NearOptimal, subgrad_to_separation
+from cutplane.convopt import feasibility_eps, minimize
+from cutplane.oracles import NearOptimal, Oracle, subgrad_to_separation
 
 
 def quadratic_oracle(center, D, queries=None):
-    """FunctionOracle for ||x - center||^2; appends (x, value) to queries."""
+    """Function oracle for ||x - center||^2; appends (x, value) to queries."""
     center = np.asarray(center, float)
 
     def fn(x):
@@ -15,14 +15,14 @@ def quadratic_oracle(center, D, queries=None):
             queries.append((x.copy(), val))
         return val, subgrad_to_separation(g, D, delta=0.0)
 
-    return FunctionOracle(fn)
+    return Oracle(fn)
 
 
 def test_minimizes_quadratic():
     for n in (2, 3, 5):
         center = 0.3 * np.ones(n) / np.sqrt(n)
         fo = quadratic_oracle(center, D=1.0)
-        res = minimize(OptimizeSpec(oracle=fo, n=n, R=1.0, alpha=0.01))
+        res = minimize(fo, n, 1.0, 0.01)
         assert res.best_value < 1e-2
         assert np.linalg.norm(res.best_x - center) < 0.15
 
@@ -30,7 +30,7 @@ def test_minimizes_quadratic():
 def test_returns_best_queried_point():
     queries = []
     fo = quadratic_oracle([0.2, -0.1], D=1.0, queries=queries)
-    res = minimize(OptimizeSpec(oracle=fo, n=2, R=1.0, alpha=0.05))
+    res = minimize(fo, 2, 1.0, 0.05)
     vals = [v for _, v in queries]
     assert res.best_value == min(vals)
     # the answer is literally one of the queried points
@@ -41,7 +41,7 @@ def test_returns_best_queried_point():
 def test_best_value_monotone_in_call_index():
     queries = []
     fo = quadratic_oracle([0.1, 0.25, -0.3], D=1.0, queries=queries)
-    minimize(OptimizeSpec(oracle=fo, n=3, R=1.0, alpha=0.02))
+    minimize(fo, 3, 1.0, 0.02)
     best = float("inf")
     running = []
     for _, v in queries:
@@ -57,22 +57,19 @@ def test_near_optimal_response_stops_early():
         calls.append(x)
         return float(x @ x), NearOptimal()
 
-    fo = FunctionOracle(fn)
-    res = minimize(OptimizeSpec(oracle=fo, n=2, R=1.0, alpha=0.01))
+    res = minimize(Oracle(fn), 2, 1.0, 0.01)
     assert len(calls) == 1
     assert res.termination == "NearOptimalFlag"
 
 
 def test_feasibility_eps_shrinks_with_alpha_and_n():
-    s1 = OptimizeSpec(oracle=None, n=4, R=1.0, alpha=0.1)
-    s2 = OptimizeSpec(oracle=None, n=4, R=1.0, alpha=0.01)
-    s3 = OptimizeSpec(oracle=None, n=16, R=1.0, alpha=0.1)
-    assert feasibility_eps(s2) < feasibility_eps(s1)
-    assert feasibility_eps(s3) < feasibility_eps(s1)
+    e1 = feasibility_eps(4, 1.0, 0.1)
+    assert feasibility_eps(4, 1.0, 0.01) < e1
+    assert feasibility_eps(16, 1.0, 0.1) < e1
 
 
 def test_oracle_calls_reported():
     fo = quadratic_oracle([0.0, 0.0], D=1.0)
-    res = minimize(OptimizeSpec(oracle=fo, n=2, R=1.0, alpha=0.05))
+    res = minimize(fo, 2, 1.0, 0.05)
     assert res.oracle_calls == fo.calls
     assert res.oracle_calls > 0

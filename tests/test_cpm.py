@@ -11,7 +11,7 @@ from cutplane.core import (
 )
 from cutplane.errors import NotUnitVector, PreconditionViolated
 from cutplane.linalg import leverage_exact
-from cutplane.oracles import box_oracle, halfspace_set_oracle
+from cutplane.oracles import Halfspace, Inside, box_oracle, halfspace_set_oracle
 
 
 def test_params_ordering_enforced():
@@ -184,22 +184,43 @@ def test_soundness_no_target_point_cut():
     seen = []
 
     class Spy:
-        calls = 0
-
         def query(self, x):
-            self.calls += 1
             r = base.fn(np.asarray(x, float))
-            from cutplane.oracles import Halfspace
             if isinstance(r, Halfspace):
-                rn = r.normalized()
                 # K lives in c^T z <= c^T x + offset
-                assert rn.c @ witness <= rn.c @ x + rn.offset + 1e-9
-                seen.append(rn)
-            return r if not isinstance(r, Halfspace) else r.normalized()
+                assert r.c @ witness <= r.c @ x + r.offset + 1e-9
+                seen.append(r)
+            return r
 
     res = run_feasibility(Spy(), 2)
     assert isinstance(res, Found)
     assert len(seen) > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: box_oracle(np.array([0.3, -0.2]), 0.05),
+    lambda: halfspace_set_oracle([(np.array([1.0, 0.0]), -0.1),
+                                  (np.array([-1.0, 0.0]), -0.1)]),
+], ids=["found", "certificate"])
+def test_loop_counts_queries_and_normalizes_cuts(make):
+    # a bare object with only query(), answering cuts of norm 2: the loop
+    # counts its queries itself and normalizes each cut, so the run is the
+    # unit-cut oracle's run bit for bit (scaling by 2 is exact)
+    base = make()
+    queries = []
+
+    class Doubled:
+        def query(self, x):
+            queries.append(x)
+            r = base.fn(np.asarray(x, float))
+            return r if isinstance(r, Inside) else Halfspace(2 * r.c, 2 * r.offset)
+
+    res = run_feasibility(Doubled(), 2)
+    ref = run_feasibility(make(), 2)
+    assert type(res) is type(ref)
+    assert res.oracle_calls == len(queries) == ref.oracle_calls
+    assert res.iterations == ref.iterations
+    assert np.array_equal(res.x, ref.x)
 
 
 def test_potential_decreases_under_centering():

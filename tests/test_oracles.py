@@ -18,11 +18,22 @@ def test_degenerate_direction_rejected():
         Halfspace(np.zeros(3)).normalized()
 
 
-def test_set_oracle_counts_and_normalizes():
-    so = oracles.SetOracle(lambda x: Halfspace(np.array([2.0, 0.0])))
-    r = so.query([0.0, 0.0])
-    assert so.calls == 1
-    assert np.allclose(r.c, [1.0, 0.0])
+def test_oracle_counts_calls():
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return Halfspace(np.array([2.0, 0.0]))
+
+    o = oracles.Oracle(fn)
+    for k in range(1, 4):
+        r = o.query([0, k])
+        assert o.calls == k
+    # the query reaches fn as a float array, and the cut comes back as fn
+    # built it: the cutting-plane loop normalizes it
+    assert all(x.dtype == float for x in seen)
+    assert np.array_equal(seen[-1], [0.0, 3.0])
+    assert np.array_equal(r.c, [2.0, 0.0])
 
 
 def test_box_oracle():

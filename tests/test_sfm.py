@@ -253,10 +253,25 @@ def test_table_function_checks_submodularity():
 
 
 def test_coverage_function():
-    f = sfm.coverage_function(3, [[0, 1], [1, 2], [0]], [2.0, 3.0, 5.0])
+    f = sfm.coverage_function([[0, 1], [1, 2], [0]], [2.0, 3.0, 5.0])
     assert f(frozenset([0])) == 5.0
     assert f(frozenset([0, 2])) == 5.0
     assert f(frozenset([0, 1])) == 10.0
+
+
+@pytest.mark.parametrize("sets, weights", [
+    ([[0]], [1]),
+    ([[0], [1]], [1, 5]),
+    ([[0, 1], [], [1]], [2, 3]),
+])
+def test_coverage_ground_set_is_one_element_per_set(sets, weights):
+    f = sfm.coverage_function(sets, weights)
+    assert f.n == len(sets)
+    for S in all_subsets(len(sets)):
+        covered = set().union(*(sets[i] for i in S))
+        assert f(S) == sum(weights[u] for u in covered)
+    best = min(f(S) for S in all_subsets(len(sets)))
+    assert sfm.sfm_strongly(f)[1] == best
 
 
 def test_cut_function_symmetry():
