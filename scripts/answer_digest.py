@@ -7,10 +7,12 @@ the workloads from its perfbench/workloads.py, which is used as it is.
 Solves every instance of the three workloads once per seed given (default
 1 2 3) and prints one line per solve:
 
-    <workload> <seed> <instance> <sha256 of the pickled answer> <user oracle calls> <separation calls>
+    <workload> <seed> <instance> <sha256 of the pickled answer> <user oracle calls> <separation calls> <leverage kernel calls>
 
 A solve that raises prints the exception's type in place of the hash.  Two
 checkouts whose outputs are equal gave byte-identical answers and counts.
+The leverage kernel runs once per point the cutting-plane loop visits, so
+its count is the cost of the centering step rule, per instance.
 """
 
 import hashlib
@@ -28,13 +30,22 @@ def main(argv):
     root = os.getcwd()
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
+    from cutplane import core
 
     counter = workloads.SeparationCounter()
     counter.install()
+    kernel = core.leverage_exact
+    kernel_calls = [0]
+
+    def counted_kernel(*args):
+        kernel_calls[0] += 1
+        return kernel(*args)
+
+    core.leverage_exact = counted_kernel
     for name, (build, _) in workloads.WORKLOADS.items():
         for seed in seeds:
             for inst in build(seed):
-                counter.calls = 0
+                counter.calls = kernel_calls[0] = 0
                 try:
                     answer, user_calls = inst.run()
                 except Exception as exc:  # reported in the digest line
@@ -42,7 +53,7 @@ def main(argv):
                 else:
                     digest = hashlib.sha256(pickle.dumps(answer)).hexdigest()
                 print(name, seed, inst.name, digest, user_calls, counter.calls,
-                      flush=True)
+                      kernel_calls[0], flush=True)
 
 
 if __name__ == "__main__":

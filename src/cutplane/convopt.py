@@ -38,13 +38,16 @@ def feasibility_eps(n, R, alpha):
 def minimize(oracle, n, R, alpha):
     """Best queried point of the function over the R-box.
 
-    oracle is an oracles.Oracle whose fn maps x to (value, NearOptimal |
-    Halfspace); alpha sets the stopping width through feasibility_eps.
+    oracle is any object whose query(x) answers (value, NearOptimal |
+    Halfspace), such as an oracles.Oracle; alpha sets the stopping width
+    through feasibility_eps.  oracle_calls counts the queries of this run
+    alone, also when the iteration cap ends it.
     """
-    state = {"best": None, "stop": False}
+    state = {"best": None, "stop": False, "calls": 0}
 
     class _Wrapped:
         def query(self, x):
+            state["calls"] += 1
             value, resp = oracle.query(x)
             if state["best"] is None or value < state["best"][1]:
                 state["best"] = (np.array(x, dtype=float), float(value))
@@ -62,4 +65,4 @@ def minimize(oracle, n, R, alpha):
     termination = "NearOptimalFlag" if state["stop"] else "WidthExhausted"
     bx, bv = state["best"]
     return OptimizeResult(best_x=bx, best_value=bv, termination=termination,
-                          oracle_calls=oracle.calls)
+                          oracle_calls=state["calls"])

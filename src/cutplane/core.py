@@ -8,10 +8,12 @@ term and a quadratic anchor:
 
 where e = tau - psi(x) is the error of the maintained leverage estimates.
 The solver keeps a polytope A x >= b around the target set, recenters with
-damped Newton steps against an approximate Hessian, and adds shifted oracle
-cuts or drops constraints whose leverage has decayed.  Leverage scores are
-computed exactly at every size, once per point; CpmState keeps them with the
-slacks and Gram factors for every step and update at that point.
+Newton steps against a majorizer of the Hessian rebuilt at every point
+(full steps, halved only to keep the slacks positive; see centering), and
+adds shifted oracle cuts or drops constraints whose leverage has decayed.
+Leverage scores are computed exactly at every size, once per point;
+CpmState keeps them with the slacks and Gram factors for every step and
+update at that point.
 Termination is a point of the target set or a thin-polytope certificate.
 """
 
@@ -130,10 +132,12 @@ def gradient(st):
     return -st.A.T @ ((st.params.c_e + st.tau) / s) + st.params.lam * st.x
 
 
-def hessian_weights(st):
-    """Q(x, psi) = A_x^T (c_e I + Psi) A_x + lam I at the kept point."""
+def hessian_weights(st, psi_weight=1.0):
+    """A_x^T (c_e I + psi_weight Psi) A_x + lam I at the kept point: Q(x, psi)
+    by default, the Newton majorizer of centering with psi_weight = 3."""
     _, B, _, _, psi = st.point()
-    return B.T @ ((st.params.c_e + psi)[:, None] * B) + st.params.lam * np.eye(st.n)
+    W = (st.params.c_e + psi_weight * psi)[:, None] * B
+    return B.T @ W + st.params.lam * np.eye(st.n)
 
 
 def centrality(st):
@@ -144,46 +148,55 @@ def centrality(st):
     return float(np.sqrt(y @ y))
 
 
-def centering(st, r=200, full_steps=False, exit_floor=None):
-    """Damped Newton recentering with a frozen approximate Hessian.
+def centering(st, r=200, exit_floor=None):
+    """Newton recentering against a majorizer rebuilt at every point.
 
-    Runs r steps x <- x - (1/8) Q^-1 grad, updating tau after each step by
-    the exact leverage change so e stays put.  Q is factored and its factor
-    inverted once, so a step costs two matrix-vector products and the
-    leverage solve at the new point.  Unless full_steps is set, stops early
-    once the centrality is far below the entry threshold of every
-    downstream consumer.  An entry with ||e||_inf above c_e/3 or a
-    centrality above the entry threshold counts in st.entry_misses, and
-    st.max_entry_ratio keeps the largest ratio of either to its threshold.
+    With e frozen, the potential's Hessian is at most
+    H = A_x^T (c_e I + E + 3 Psi) A_x + lam I, since the log det term's
+    Hessian A_x^T (3 Psi - 2 P*P) A_x lies below 3 A_x^T Psi A_x; the step
+    drops E, which is held below c_e/3.  Each step factors H from the kept
+    point and tries the full step x <- x - H^-1 grad, halving it only until
+    every slack stays positive, a test that needs no leverage solve.  tau
+    follows the exact leverage change so e stays put.  At most r steps;
+    stops once the Newton decrement sqrt(grad^T H^-1 grad) is at most
+    exit_floor (default 0.3 of the entry threshold) or stops falling.  An
+    entry with ||e||_inf above c_e/3 or a centrality above the entry
+    threshold counts in st.entry_misses, and st.max_entry_ratio keeps the
+    largest ratio of either to its threshold.
     """
     p = st.params
-    psi0 = st.psi()
-    # Q is the Hessian at entry, so the first Newton solve is also the
-    # entry centrality
+    psi_prev = st.psi()
+    g = gradient(st)
     LQ, _ = cholesky_jittered(hessian_weights(st))
-    LQinv = np.linalg.inv(LQ)
-    z = LQinv @ gradient(st)
+    z = np.linalg.inv(LQ) @ g
     delta0 = float(np.sqrt(z @ z))
-    thresh = 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
-    e0 = float(np.max(np.abs(st.tau - psi0)))
+    thresh = 0.01 * math.sqrt(p.c_e + float(np.min(psi_prev)))
+    e0 = float(np.max(np.abs(st.tau - psi_prev)))
     if e0 > p.c_e / 3 + 1e-12 or delta0 > thresh * (1 + 1e-9):
         st.entry_misses += 1
     st.max_entry_ratio = max(st.max_entry_ratio, e0 / (p.c_e / 3),
                              delta0 / thresh)
     if exit_floor is None:
-        exit_floor = 0.3 * 0.01 * math.sqrt(p.c_e + float(np.min(psi0)))
+        exit_floor = 0.3 * thresh
 
-    psi_prev = psi0
+    delta_prev = math.inf
     for _ in range(r):
-        if not full_steps and float(np.sqrt(z @ z)) <= exit_floor:
-            # centrality in the frozen-Q metric; Q tracks the true Hessian
-            # closely enough for a stop test
+        LH, _ = cholesky_jittered(hessian_weights(st, 3.0))
+        LHinv = np.linalg.inv(LH)
+        z = LHinv @ g
+        delta = float(np.sqrt(z @ z))
+        if delta <= exit_floor or delta >= delta_prev:
             break
-        st.x = st.x - (LQinv.T @ z) / 8.0
+        delta_prev = delta
+        dx = LHinv.T @ z
+        t = 1.0
+        while np.min(st.A @ (st.x - t * dx) - st.b) <= 0:
+            t *= 0.5
+        st.x = st.x - t * dx
         psi_new = st.psi()
         st.tau = st.tau + (psi_new - psi_prev)
         psi_prev = psi_new
-        z = LQinv @ gradient(st)
+        g = gradient(st)
     return st
 
 

@@ -302,32 +302,60 @@ def _negative_part(y):
 def _blend_dual(y, h):
     """Best convex combination of two base polytope points under the
     negative-part lower bound.  Piecewise linear in the mixing weight, so
-    checking the sign-crossing breakpoints is exact."""
-    cands = [0.0, 1.0]
-    for i in range(y.size):
-        d = y[i] - h[i]
-        if abs(d) > 1e-15:
-            g = y[i] / d
-            if 0.0 < g < 1.0:
-                cands.append(g)
-    g = max(cands, key=lambda t: _negative_part((1 - t) * y + t * h))
-    return (1 - g) * y + g * h
+    checking the sign-crossing breakpoints, all at once, is exact."""
+    d = y - h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = y / d
+    g = g[(np.abs(d) > 1e-15) & (g > 0.0) & (g < 1.0)]
+    t = np.concatenate(([0.0, 1.0], g))
+    Y = (1.0 - t[:, None]) * y + t[:, None] * h
+    return Y[int(np.argmax(np.minimum(Y, 0.0).sum(axis=1)))]
+
+
+def _blend_pool(y, P):
+    """Best blend of y with any row of P under the negative-part bound.
+
+    Along y + t (p - y) the bound is concave and piecewise linear in t, and
+    its slope falls by |p_i - y_i| where coordinate i changes sign, so the
+    best t is the first sign crossing past which the slope is no longer
+    positive (0 or 1 if there is none).  All rows are searched at once.
+    """
+    k = P.shape[0]
+    D = P - y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = -y / D
+    cross = (np.abs(D) > 1e-15) & (T > 0.0) & (T < 1.0)
+    T = np.where(cross, T, 1.0)
+    order = np.argsort(T, axis=1)
+    drop = np.take_along_axis(np.where(cross, np.abs(D), 0.0), order, axis=1)
+    slope0 = np.where((y < 0) | ((y == 0) & (D < 0)), D, 0.0).sum(axis=1)
+    T = np.hstack([np.zeros((k, 1)), np.take_along_axis(T, order, axis=1),
+                   np.ones((k, 1))])
+    slope = slope0[:, None] - np.cumsum(drop, axis=1)
+    after = np.hstack([slope0[:, None], slope, np.full((k, 1), -np.inf)])
+    t = T[np.arange(k), np.argmax(after <= 0, axis=1)]
+    Y = y + t[:, None] * D
+    return Y[int(np.argmax(np.minimum(Y, 0.0).sum(axis=1)))]
 
 
 class DualBound:
     """Running lower bound max over B(f) combinations of sum min(y_i, 0).
 
-    Feeds on the BFS stream of a solver run; each new vertex is line
-    searched against the incumbent combination and against one member of a
-    pool of the last POOL_CAP vertices, round robin.  The bound equals
-    min f at the Fujishige dual optimum."""
+    Feeds on the BFS stream of a solver run and keeps the last POOL_CAP
+    vertices in a pool.  Two combinations are kept.  y blends each new
+    vertex, then one pool member, round robin.  y2 blends each new vertex,
+    then the best line search against every pool member.  value is the
+    running max of both bounds, so on a given stream it is never below
+    y's alone and a phase closes at the same query or sooner.  The bound
+    equals min f at the Fujishige dual optimum."""
 
     POOL_CAP = 64
 
     def __init__(self):
-        self.y = None
+        self.y = self.y2 = None
         self.pool = []
         self._k = 0
+        self._best = -float("inf")
 
     def update(self, h):
         h = np.asarray(h, float)
@@ -336,13 +364,20 @@ class DualBound:
             self.pool.append(h)
         else:
             self.pool[self._k % self.POOL_CAP] = h
-        self.y = h.copy() if self.y is None else _blend_dual(self.y, h)
+        if self.y is None:
+            self.y, self.y2 = h.copy(), h.copy()
+        else:
+            self.y = _blend_dual(self.y, h)
+            self.y2 = _blend_dual(self.y2, h)
         self.y = _blend_dual(self.y, self.pool[self._k % len(self.pool)])
+        self.y2 = _blend_pool(self.y2, np.array(self.pool))
+        self._best = max(self._best, _negative_part(self.y),
+                         _negative_part(self.y2))
         return self.value
 
     @property
     def value(self):
-        return -float("inf") if self.y is None else _negative_part(self.y)
+        return self._best
 
 
 class _DegenerateBfs(Exception):

@@ -255,7 +255,7 @@ def test_criterion_06_centering_contraction():
         d0 = core.centrality(trial)
         if d0 < 1e-13:
             continue
-        core.centering(trial, r=200, full_steps=True)
+        core.centering(trial, r=200, exit_floor=0.0)
         assert core.centrality(trial) <= factor * d0 + 1e-12
         checked += 1
 

@@ -167,6 +167,19 @@ def _assert_input_error(r):
     assert json.loads(r.stderr)["error"]
 
 
+def test_intersect_two_unit_squares(specs):
+    # the maximizer of x1 + x2 over the unit square is (1, 1), objective 2
+    square = {"type": "vertices", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+    path = specs("squares.json", {"c": [1.0, 1.0], "M": 2.0,
+                                  "body1": square, "body2": square})
+    r = run_cli(["intersect", "--spec", path])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert abs(out["objective"] - 2.0) <= 1e-2
+    assert max(abs(v - 1.0) for v in out["z"]) <= 1e-2
+    assert out["oracle_calls"] > 0
+
+
 @pytest.mark.parametrize("args", [
     ["feas", "--spec", "SPEC", "--bogus"],          # unknown flag
     ["feas"],                                        # missing --spec

@@ -1,6 +1,8 @@
 import numpy as np
 
+from cutplane import convopt
 from cutplane.convopt import feasibility_eps, minimize
+from cutplane.errors import IterationCapExceeded
 from cutplane.oracles import NearOptimal, Oracle, subgrad_to_separation
 
 
@@ -73,3 +75,47 @@ def test_oracle_calls_reported():
     res = minimize(fo, 2, 1.0, 0.05)
     assert res.oracle_calls == fo.calls
     assert res.oracle_calls > 0
+
+
+def test_oracle_calls_count_this_run_only():
+    # a reused Oracle keeps its own running total; each result reports
+    # the queries of its own run
+    fo = quadratic_oracle([0.1, -0.2], D=1.0)
+    first = minimize(fo, 2, 1.0, 0.05)
+    second = minimize(fo, 2, 1.0, 0.05)
+    assert first.oracle_calls > 0
+    assert second.oracle_calls == first.oracle_calls
+    assert fo.calls == first.oracle_calls + second.oracle_calls
+
+
+def test_query_only_oracle_is_counted():
+    # an object with query() and no calls attribute
+    base = quadratic_oracle([0.2, 0.1], D=1.0)
+    queries = []
+
+    class QueryOnly:
+        def query(self, x):
+            queries.append(x)
+            return base.fn(np.asarray(x, float))
+
+    res = minimize(QueryOnly(), 2, 1.0, 0.05)
+    assert res.oracle_calls == len(queries) > 0
+
+
+def test_oracle_calls_counted_past_the_iteration_cap(monkeypatch):
+    # the cap's exception carries no count; the result still reports
+    # every query the run made, and only those
+    queries = []
+    base = quadratic_oracle([0.2, 0.1], D=1.0)
+    base.query(np.zeros(2))
+
+    def capped(oracle, n, params):
+        for _ in range(5):
+            oracle.query(np.full(n, 0.1 * len(queries)))
+            queries.append(None)
+        raise IterationCapExceeded("cap")
+
+    monkeypatch.setattr(convopt, "run_feasibility", capped)
+    res = minimize(base, 2, 1.0, 0.05)
+    assert res.termination == "WidthExhausted"
+    assert res.oracle_calls == len(queries) == 5

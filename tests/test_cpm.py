@@ -138,7 +138,7 @@ def test_centering_contracts():
         d0 = centrality(trial)
         if d0 < 1e-13:
             continue
-        centering(trial, r=200, full_steps=True)
+        centering(trial, r=200, exit_floor=0.0)
         assert centrality(trial) <= factor * d0 + 1e-12
 
 
@@ -228,7 +228,7 @@ def test_potential_decreases_under_centering():
     st.x = st.x + 1e-5 * _rand_unit(rng, 4)
     st.tau = st.psi()
     before = potential(st)
-    centering(st, r=50, full_steps=True)
+    centering(st, r=50, exit_floor=0.0)
     assert potential(st) <= before + 1e-12
 
 
@@ -324,3 +324,20 @@ def test_results_report_entry_misses(monkeypatch):
         assert 0 < res.entry_misses
         assert res.max_entry_ratio > 1.0
     assert found.entry_misses + cert.entry_misses <= calls["centering"]
+
+
+@pytest.mark.parametrize("make,n,want", [
+    (lambda: box_oracle(np.array([0.3, -0.2, 0.1, 0.25]), 0.02), 4, Found),
+    (lambda: halfspace_set_oracle([(np.array([1.0, 0.0, 0.0]), -0.1),
+                                   (np.array([-1.0, 0.0, 0.0]), -0.1)]), 3,
+     ThinCertificate),
+], ids=["box", "empty"])
+def test_few_newton_steps_per_centering(monkeypatch, make, n, want):
+    # one gradient at entry and one per Newton step: a full Newton step
+    # against a Hessian rebuilt at each point recenters in a few steps,
+    # the certificate burst included
+    counts = {}
+    _count_calls(monkeypatch, counts, "centering")
+    _count_calls(monkeypatch, counts, "gradient")
+    assert isinstance(run_feasibility(make(), n), want)
+    assert counts["gradient"] <= 6 * counts["centering"]

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from cutplane import intersect as ii
+from cutplane.oracles import vertex_opt_oracle
 
 
 def exhaustive_common(m1, m2, w, n):
@@ -155,6 +157,82 @@ def test_dual_dominates_primal_everywhere():
             f_best = max(f_best, ii.f_lambda(x, y, prob))
     assert h_best >= f_best - 1e-6
     assert np.all(np.isfinite(z))
+
+
+def _lp_max(V1, V2, c):
+    """max c^T V1^T mu1 subject to V1^T mu1 = V2^T mu2, mu1 and mu2 in
+    simplices: the exact optimum over the intersection of the hulls."""
+    from scipy.optimize import linprog
+    k1, k2, d = len(V1), len(V2), V1.shape[1]
+    A_eq = np.vstack([np.hstack([V1.T, -V2.T]),
+                      np.r_[np.ones(k1), np.zeros(k2)],
+                      np.r_[np.zeros(k1), np.ones(k2)]])
+    r = linprog(np.r_[-(V1 @ c), np.zeros(k2)], A_eq=A_eq,
+                b_eq=np.r_[np.zeros(d), 1.0, 1.0], bounds=(0, None))
+    assert r.status == 0
+    return -r.fun
+
+
+def _hull_distance_inf(V, z):
+    """max-norm distance from z to the hull of the rows of V, by LP."""
+    from scipy.optimize import linprog
+    k, d = V.shape
+    A_ub = np.vstack([np.hstack([V.T, -np.ones((d, 1))]),
+                      np.hstack([-V.T, -np.ones((d, 1))])])
+    r = linprog(np.r_[np.zeros(k), 1.0], A_ub=A_ub, b_ub=np.r_[z, -z],
+                A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+                bounds=(0, None))
+    assert r.status == 0
+    return r.fun
+
+
+def _vertex_problem(V1, V2, c, delta):
+    M = math.sqrt(V1.shape[1])
+    return ii.IntersectProblem(c=c, oracle1=vertex_opt_oracle(V1),
+                               oracle2=vertex_opt_oracle(V2), M=M,
+                               lam=ii.schedule(M, delta))
+
+
+def _random_body(rng, d):
+    return rng.uniform(-0.6, 0.6, (int(rng.integers(d + 1, 7)), d))
+
+
+def _unit(rng, d):
+    c = rng.standard_normal(d)
+    return c / np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_value_brackets_linprog_optimum(seed):
+    # two random vertex-listed bodies whose vertex means coincide, so the
+    # common point is in both hulls; the best dual value is at least
+    # OPT - M^2/lam (weak duality) and within delta above OPT
+    rng = np.random.default_rng(500 + seed)
+    d = int(rng.integers(2, 4))
+    V1 = _random_body(rng, d)
+    V2 = _random_body(rng, d)
+    V2 += V1.mean(axis=0) - V2.mean(axis=0)
+    c = _unit(rng, d)
+    delta = 0.05
+    prob = _vertex_problem(V1, V2, c, delta)
+    _, res = ii.solve_intersection(prob)
+    want = _lp_max(V1, V2, c)
+    assert want - prob.M ** 2 / prob.lam - 1e-9 <= res.best_value
+    assert res.best_value <= want + delta
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_maximizer_of_a_shared_body_matches_linprog(seed):
+    # K1 = K2, where the oracle witnesses agree and the run resolves the
+    # theta2 and theta3 blocks: z is a near-maximizer, not its negation
+    rng = np.random.default_rng(600 + seed)
+    d = int(rng.integers(2, 4))
+    V = _random_body(rng, d)
+    c = _unit(rng, d)
+    delta = 0.05
+    z, _ = ii.solve_intersection(_vertex_problem(V, V, c, delta))
+    assert abs(float(c @ z) - _lp_max(V, V, c)) <= delta
+    assert _hull_distance_inf(V, z) <= delta
 
 
 def small_instances():

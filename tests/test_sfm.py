@@ -279,3 +279,95 @@ def test_cut_function_symmetry():
     V = frozenset(range(5))
     for S in all_subsets(5):
         assert f(S) == f(V - S)
+
+
+# ---------------------------------------------------------------------------
+# dual bound
+
+def _round_robin_blend(y, h):
+    """The two-point blend as a scalar loop over the breakpoints."""
+    cands = [0.0, 1.0]
+    for i in range(y.size):
+        d = y[i] - h[i]
+        if abs(d) > 1e-15:
+            g = y[i] / d
+            if 0.0 < g < 1.0:
+                cands.append(g)
+    g = max(cands, key=lambda t: sfm._negative_part((1 - t) * y + t * h))
+    return (1 - g) * y + g * h
+
+
+class RoundRobinBound:
+    """The dual bound with its single combination: each new vertex, then
+    one pool member, round robin."""
+
+    POOL_CAP = 64
+
+    def __init__(self):
+        self.y = None
+        self.pool = []
+        self._k = 0
+
+    def update(self, h):
+        h = np.asarray(h, float)
+        self._k += 1
+        if len(self.pool) < self.POOL_CAP:
+            self.pool.append(h)
+        else:
+            self.pool[self._k % self.POOL_CAP] = h
+        self.y = h.copy() if self.y is None else _round_robin_blend(self.y, h)
+        self.y = _round_robin_blend(self.y, self.pool[self._k % len(self.pool)])
+        return self.value
+
+    @property
+    def value(self):
+        return -float("inf") if self.y is None else sfm._negative_part(self.y)
+
+
+def cut_plus_charge(n, degree, seed):
+    """Random multigraph cut with weights 1..3 plus a modular charge in
+    -6..6 per element."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    while len(edges) < n * degree // 2:
+        u, v = (int(t) for t in rng.integers(n, size=2))
+        if u != v:
+            edges.append((u, v, int(rng.integers(1, 4))))
+    charge = [int(q) for q in rng.integers(-6, 7, size=n)]
+
+    def fn(S):
+        return (sum(w for u, v, w in edges if (u in S) != (v in S))
+                + sum(charge[i] for i in S))
+
+    return sfm.SubmodularFn(n, fn)
+
+
+def _weak_run(bound_cls, f):
+    """sfm_weakly with bound_cls as its dual bound; returns the answer and
+    the BFS stream the bound was fed."""
+    stream = []
+
+    class Recording(bound_cls):
+        def update(self, h):
+            stream.append(np.array(h, float))
+            return super().update(h)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sfm, "DualBound", Recording)
+        return sfm.sfm_weakly(f), stream
+
+
+@pytest.mark.parametrize("n,seed", [(12, 1), (16, 0), (16, 2)])
+def test_dual_bound_dominates_round_robin(n, seed):
+    # on the BFS stream of a run, value is never below the round-robin
+    # combination's, and that combination is kept bit for bit as y
+    (_, want), stream = _weak_run(RoundRobinBound, cut_plus_charge(n, 3, seed))
+    new, old = sfm.DualBound(), RoundRobinBound()
+    for h in stream:
+        assert new.update(h) >= old.update(h)
+        assert np.array_equal(new.y, old.y)
+    # the run stops at the same query or sooner, with the same value
+    (_, got), closed = _weak_run(sfm.DualBound, cut_plus_charge(n, 3, seed))
+    assert got == want
+    assert len(closed) <= len(stream)
+    assert all(np.array_equal(a, b) for a, b in zip(closed, stream))
