@@ -246,8 +246,7 @@ def cmd_sdp(args):
                           A=_field(spec, "A", args.spec,
                                    lambda A: [_floats(Ai) for Ai in A]),
                           b=_field(spec, "b", args.spec, _floats))
-    y, val, witnesses, _ = sdp.solve_dual(prob, eps_total=args.eps,
-                                          seed=args.seed)
+    y, val, witnesses, _ = sdp.solve_dual(prob, eps_total=args.eps)
     out = {"y": y.tolist(), "dual_value": val}
     if args.primal:
         X, pval = sdp.recover_primal(prob, witnesses, y_best=y)
@@ -309,7 +308,6 @@ def _build_parser():
     sp.add_argument("--spec", required=True)
     sp.add_argument("--eps", type=float, default=1e-3)
     sp.add_argument("--primal", action="store_true")
-    seeded(sp)
     sp.set_defaults(fn=cmd_sdp)
 
     sp = sub.add_parser("chase")

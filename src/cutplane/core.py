@@ -98,11 +98,6 @@ class CpmState:
     def psi(self):
         return self.point()[4]
 
-    def copy(self):
-        return CpmState(self.A.copy(), self.b.copy(), self.x.copy(),
-                        self.tau.copy(), self.params, list(self.origin),
-                        self.entry_misses, self.max_entry_ratio)
-
 
 def initial_state(n, params):
     """Box polytope |x_i| <= R with exact initial leverage estimates."""

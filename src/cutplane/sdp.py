@@ -4,12 +4,11 @@ The dual objective is penalized with a trace cap K:
 
     fK(y) = b^T y + K * max(lambda_max(C - sum_i y_i A_i), 0)
 
-which is convex, and whose subgradient needs one near-top eigenvector of
-the slack matrix.  Eigenvectors come from repeated squaring of a shifted
-slack.  Primal recovery maximizes a concave piecewise-linear program over
-the simplex spanned by the rank-one witnesses collected along the dual
-run, seeded with the top eigenvector of the slack at the best dual point,
-which dense Jacobi rotations compute.
+which is convex, and whose subgradient needs one top eigenvector of the
+slack matrix; numpy.linalg.eigh gives it exactly.  Primal recovery
+maximizes a concave piecewise-linear program over the simplex spanned by
+the rank-one witnesses collected along the dual run, together with the
+eigenbasis of the slack at the best dual point.
 """
 
 import math
@@ -55,75 +54,19 @@ class SdpProblem:
         return S
 
 
-def max_eigvec(Y, R, eps, seed):
-    """Near-top eigenvector of symmetric Y with -R I <= Y <= R I.
-
-    Repeated squaring of B = Y/R + I concentrates a random start on the top
-    eigenspace; ceil(ln m) + 2 restarts protect against unlucky draws.
-    """
-    Y = np.asarray(Y, float)
-    m = Y.shape[0]
-    rng = np.random.default_rng(seed)
-    delta = min(0.25, max(eps / max(R, 1e-300), 1e-12) / 4.0)
-    k = int(math.ceil(math.log2(max(math.log(m ** 1.5 / delta) / delta, 2.0))))
-    restarts = int(math.ceil(math.log(max(m, 2)))) + 2
-    B = Y / R + np.eye(m)
-    # repeated squaring with normalization to dodge overflow
-    for _ in range(k):
-        B = B @ B
-        B = B / max(np.trace(B), 1e-300)
-    best_u, best_val = None, -np.inf
-    for _ in range(restarts):
-        u = B @ rng.standard_normal(m)
-        nrm = np.linalg.norm(u)
-        if nrm < 1e-300:
-            continue
-        u = u / nrm
-        val = float(u @ Y @ u)
-        if val > best_val:
-            best_u, best_val = u, val
-    return best_u, best_val
+def max_eigvec(Y):
+    """Top eigenpair (u, lambda_max) of symmetric Y, u of unit length."""
+    w, U = np.linalg.eigh(Y)
+    return U[:, -1], float(w[-1])
 
 
-# sweep cap of jacobi_max_eig, and the size below which an off-diagonal entry
-# is left alone; the sweeps end once the squares of the rotated entries sum
-# below it
-_JACOBI_SWEEPS = 30
-_JACOBI_TOL = 1e-12
+# perfbench/spans.py traces both names
+jacobi_max_eig = max_eigvec
 
 
-def jacobi_max_eig(Y):
-    """Top eigenpair of symmetric Y by dense Jacobi rotations."""
-    Ymat = np.array(Y, float)
-    m = Ymat.shape[0]
-    V = np.eye(m)
-    for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                if abs(Ymat[p, q]) < _JACOBI_TOL:
-                    continue
-                off += Ymat[p, q] ** 2
-                theta = 0.5 * math.atan2(2 * Ymat[p, q], Ymat[q, q] - Ymat[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                J = np.eye(m)
-                J[p, p] = c
-                J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                Ymat = J.T @ Ymat @ J
-                V = V @ J
-        if off < _JACOBI_TOL:
-            break
-    i = int(np.argmax(np.diag(Ymat)))
-    return V[:, i], float(Ymat[i, i])
-
-
-def fK_separation(y, problem, eps, seed=0):
+def fK_separation(y, problem, eps):
     """Value, separation response and rank-one witness for fK at y."""
-    S = problem.slack(y)
-    R = max(1.0, float(np.linalg.norm(S, "fro")))
-    u, lmax = max_eigvec(S, R, eps, seed)
+    u, lmax = max_eigvec(problem.slack(y))
     n = problem.ncons
     if lmax > 0:
         v = math.sqrt(problem.K) * u
@@ -137,22 +80,23 @@ def fK_separation(y, problem, eps, seed=0):
 
 
 def solve_dual(problem, eps_total=1e-2, seed=0):
-    """Minimize fK over the L-box; returns (y, value, witness list)."""
+    """Minimize fK over the L-box; returns (y, value, witness list, result).
+
+    The eigenvector oracle is exact, so the run is deterministic; seed is
+    accepted for interface compatibility and has no effect.
+    """
     n = problem.ncons
     witnesses = []
     eig_eps = eps_total / 10.0
 
     def fn(y):
-        # the k-th query draws its eigenvector start from seed + k
-        value, resp, u = fK_separation(y, problem, eig_eps,
-                                       seed=seed + fo.calls)
+        value, resp, u = fK_separation(y, problem, eig_eps)
         witnesses.append(u)
         return value, resp
 
-    fo = Oracle(fn)
     alpha = eps_total / (7.0 * max(n, 1) * problem.M * problem.K * problem.L)
     alpha = min(max(alpha, 1e-6), 0.5)
-    res = minimize(fo, n, problem.L, alpha)
+    res = minimize(Oracle(fn), n, problem.L, alpha)
     return res.best_x, res.best_value, witnesses, res
 
 
@@ -162,8 +106,10 @@ def recover_primal(problem, witnesses, y_best=None):
         g(alpha) = -L sum_i |b_i - sum_j alpha_j v_j^T A_i v_j|
                    + sum_j alpha_j v_j^T C v_j
 
-    over the simplex scaled by the trace cap.  Concave piecewise linear, so
-    a fine subgradient descent over the simplex suffices at this scale.
+    over the simplex scaled by the trace cap.  Concave piecewise linear; it
+    is solved as an LP, with subgradient ascent when scipy is missing.
+    The witnesses are the unit vectors passed in, preceded, when y_best is
+    given, by the eigenvectors of the slack at y_best from the top down.
 
     A slack coordinate (the zero matrix) joins the simplex so the recovered
     trace can land anywhere in [0, K]; forcing the full cap breaks the
@@ -171,11 +117,12 @@ def recover_primal(problem, witnesses, y_best=None):
     """
     V = [np.asarray(v, float) / max(np.linalg.norm(v), 1e-300)
          for v in witnesses]
-    # v_0 comes from the top eigenvector at the best y
+    # the whole eigenbasis of the slack at the best y leads, top vector
+    # first: X* lies in the top eigenspace of S(y*), which may have more
+    # than one dimension, and y_best is only near y*
     if y_best is not None:
-        S = problem.slack(y_best)
-        u, _ = jacobi_max_eig(S)
-        V = [u] + V
+        _, U = np.linalg.eigh(problem.slack(y_best))
+        V = list(U[:, ::-1].T) + V
     # drop near-parallel witnesses, they only slow the ascent down
     kept = []
     for v in V:

@@ -5,6 +5,7 @@ suites; sizes, draw counts and tolerances are fixed here and should not be
 reduced without touching the corresponding unit coverage first.
 """
 
+import copy
 import itertools
 import math
 import time
@@ -244,7 +245,7 @@ def test_criterion_06_centering_contraction():
         dx /= np.linalg.norm(dx)
         trial = None
         for scale in (1e-4, 1e-5, 1e-6):
-            cand = st.copy()
+            cand = copy.deepcopy(st)
             cand.x = cand.x + scale * dx
             cand.tau = cand.psi()
             if core.centrality(cand) <= thresh:

@@ -195,6 +195,7 @@ def test_intersect_two_unit_squares(specs):
     ["opt", "--spec", "OPT", "--seed", "5"],
     ["intersect", "--spec", "INTERSECT", "--seed", "5"],
     ["sfm", "--spec", "CUT", "--seed", "5"],
+    ["sdp", "--spec", "SDP", "--seed", "5"],
 ])
 def test_usage_errors_exit_3(specs, tmp_path, args):
     fill = {"DIR": str(tmp_path)}
@@ -211,6 +212,8 @@ def test_usage_errors_exit_3(specs, tmp_path, args):
                       "body1": {"type": "free", "n": 2},
                       "body2": {"type": "uniform", "rank": 1, "n": 2}},
         "CUT": {"type": "cut", "n": 2, "edges": [[0, 1, 1]]},
+        "SDP": {"C": [[1.0, 0.0], [0.0, -1.0]], "A": [[[1.0, 0.0], [0.0, 1.0]]],
+                "b": [0.5]},
     }.items():
         fill[name] = specs(name + ".json", spec)
     _assert_input_error(run_cli([fill.get(a, a) for a in args]))

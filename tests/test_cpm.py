@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_centering_contracts():
         dx = _rand_unit(rng, 4)
         # scale the kick so the entry precondition still holds
         for scale in (1e-4, 1e-5, 1e-6, 1e-7):
-            trial = st.copy()
+            trial = copy.deepcopy(st)
             trial.x = trial.x + scale * dx
             trial.tau = trial.psi()
             if centrality(trial) <= thresh:

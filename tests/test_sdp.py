@@ -31,6 +31,16 @@ def grid_dual(prob, lo=-3.0, hi=3.0, steps=61):
     return best
 
 
+def _symmetric_matrices():
+    rng = np.random.default_rng(0)
+    for m in range(1, 9):
+        Y = rng.standard_normal((m, m))
+        yield (Y + Y.T) / 2
+    # a top eigenvalue of multiplicity two
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    yield Q @ np.diag([2.0, 2.0, 0.5, -1.0, -3.0]) @ Q.T
+
+
 def test_jacobi_matches_numpy():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -45,31 +55,16 @@ def test_jacobi_matches_numpy():
 
 
 def test_max_eigvec_certifies():
-    rng = np.random.default_rng(1)
-    for seed in range(5):
-        m = 5
-        Y = rng.standard_normal((m, m))
-        Y = (Y + Y.T) / 2
-        R = float(np.linalg.norm(Y, 2)) + 1.0
-        v, lam = sdp.max_eigvec(Y, R, eps=1e-6, seed=seed)
+    for Y in _symmetric_matrices():
+        v, lam = sdp.max_eigvec(Y)
         want = np.linalg.eigvalsh(Y)[-1]
+        assert abs(lam - want) < 1e-8
+        assert abs(float(v @ Y @ v) - want) < 1e-8
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-10
         # the Rayleigh quotient of the returned vector is a certified
-        # lower bound and must be eps-close to the true top eigenvalue
+        # lower bound and must be close to the true top eigenvalue
         assert float(v @ Y @ v) <= want + 1e-9
         assert lam >= want - 1e-5
-
-
-def test_max_eigvec_monotone_in_eps():
-    rng = np.random.default_rng(2)
-    Y = rng.standard_normal((6, 6))
-    Y = (Y + Y.T) / 2
-    R = float(np.linalg.norm(Y, 2)) + 1.0
-    prev = -np.inf
-    for eps in (1e-2, 1e-4, 1e-6):
-        v, lam = sdp.max_eigvec(Y, R, eps=eps, seed=0)
-        val = float(v @ Y @ v)
-        assert val >= prev - 1e-12
-        prev = val
 
 
 def test_scalar_problem_reproduces_lambda_max():
@@ -81,6 +76,16 @@ def test_scalar_problem_reproduces_lambda_max():
     y, val, wit, res = sdp.solve_dual(prob, eps_total=1e-3, seed=0)
     want = prob.K * max(np.linalg.eigvalsh(C)[-1], 0.0)
     assert abs(val - want) < 1e-3 * max(1.0, abs(want))
+
+
+def test_solve_dual_ignores_seed():
+    prob = random_problem(1)
+    y0, val0, wit0, _ = sdp.solve_dual(prob, eps_total=1e-2, seed=0)
+    y7, val7, wit7, _ = sdp.solve_dual(prob, eps_total=1e-2, seed=7)
+    assert np.array_equal(y0, y7)
+    assert val0 == val7
+    assert len(wit0) == len(wit7)
+    assert all(np.array_equal(u, v) for u, v in zip(wit0, wit7))
 
 
 def test_dual_close_to_grid():
